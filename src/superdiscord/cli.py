@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import discord, families, qstate
 from .discord import OptimizerConfig
-from .errors import NoConvergence, QuantumStateError
+from .errors import DomainError, NoConvergence, QuantumStateError
 from .measure import INFINITY, QubitBasis
 from .qstate import DensityMatrix
 
@@ -108,11 +107,7 @@ def resolve_state(args) -> DensityMatrix:
 
 
 def make_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        grid_gamma=args.grid,
-        grid_delta=args.grid,
-        refine_tol=args.refine_tol,
-    )
+    return OptimizerConfig(grid_gamma=args.grid, grid_delta=args.grid)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--z", type=float, default=0.5, help="singlet weight for --state werner")
     common.add_argument("--seed", type=int, default=0, help="seed for --state random")
     common.add_argument("--x", default="0.5", help="measurement strength (float or 'inf')")
-    common.add_argument("--grid", type=int, default=64, help="lattice points per angle")
-    common.add_argument("--refine-tol", type=float, default=1e-8, help="refinement tolerance, bits")
+    common.add_argument("--grid", type=int, default=64, help="lattice points per angle, >= 3")
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--out", default=None, help="write output to PATH instead of stdout")
 
@@ -193,8 +187,6 @@ def cmd_report(args) -> int:
 def cmd_resurrect(args) -> int:
     rho = resolve_state(args)
     x = parse_strength(args.x)
-    if not (math.isfinite(x) and x > 0):
-        raise QuantumStateError("resurrect requires a finite strength x > 0")
     rec = discord.verify_resurrection(rho, x, make_config(args))
     payload = {
         "delta": rec.delta,
@@ -223,20 +215,21 @@ def cmd_sweep(args) -> int:
         raise QuantumStateError("axis 'z' requires --state werner")
     if args.axis == "lambda0" and args.state not in ("pure",):
         raise QuantumStateError("axis 'lambda0' requires --state pure")
+    if args.steps < 1:
+        raise DomainError(f"sweep needs --steps >= 1, got {args.steps}")
     cfg = make_config(args)
     grid = np.linspace(args.start, args.stop, args.steps)
     lines = [",".join(SWEEP_COLUMNS)]
     for value in grid:
         x = float(value) if args.axis == "x" else parse_strength(args.x)
         rho = _sweep_state(args, float(value))
-        rep = discord.analyze(rho, x, cfg)
         s_ab = qstate.von_neumann_entropy(rho.entries)
         s_b = qstate.von_neumann_entropy(qstate.partial_trace_a(rho))
         if math.isfinite(x) and x > 0:
             rec = discord.verify_resurrection(rho, x, cfg)
-            dw_post, gap = rec.post_super_discord, rec.gap
+            rep, dw_post, gap = rec.report, rec.post_super_discord, rec.gap
         else:
-            dw_post, gap = math.nan, math.nan
+            rep, dw_post, gap = discord.analyze(rho, x, cfg), math.nan, math.nan
         row = (
             float(value),
             s_ab,
@@ -256,8 +249,6 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    # accepted for interface compatibility; evaluation is vectorized, not threaded
-    os.environ.get("SUPERDISCORD_THREADS")
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"report": cmd_report, "resurrect": cmd_resurrect, "sweep": cmd_sweep}

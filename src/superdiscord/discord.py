@@ -15,20 +15,36 @@ import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
 from . import measure, qstate
-from .errors import NoConvergence
+from .errors import DomainError, NoConvergence
 from .measure import INFINITY, QubitBasis
 from .qstate import DensityMatrix
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Size of the (gamma, delta) lattice scanned before refinement.
+
+    grid_gamma points span gamma in [0, pi], poles included, so at least 3 are
+    needed for a point off the poles; grid_delta points span delta in [0, 2 pi).
+    """
+
     grid_gamma: int = 64
     grid_delta: int = 64
-    refine_tol: float = 1e-8
-    max_refine_iters: int = 500
+
+    def __post_init__(self):
+        if self.grid_gamma < 3 or self.grid_delta < 1:
+            raise DomainError(
+                f"lattice needs grid_gamma >= 3 and grid_delta >= 1, "
+                f"got {self.grid_gamma} x {self.grid_delta}"
+            )
 
 
 DEFAULT_CONFIG = OptimizerConfig()
+
+# Lattice tie, flat-landscape and ambiguous-minimizer threshold in bits, also Nelder-Mead's
+# fatol; 1e-8 is the refinement tolerance every reported number has been computed with.
+FLAT_TOL = 1e-8
+MAX_REFINE_ITERS = 500
 
 
 def quantum_conditional_entropy(rho: DensityMatrix) -> float:
@@ -100,8 +116,8 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
     vmin = float(vals.min())
     spread = float(vals.max()) - vmin
     # ties broken toward smallest gamma, then delta (row-major, gamma outer)
-    idx = int(np.flatnonzero(vals <= vmin + cfg.refine_tol)[0])
-    if spread < cfg.refine_tol:
+    idx = int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])
+    if spread < FLAT_TOL:
         # flat landscape: nothing to refine, and Nelder-Mead cycles on exact ties
         basis = measure.basis_from_ket(QubitBasis(float(gg[idx]), float(dd[idx])).ket())
         return MinimizationResult(basis, float(vals[idx]), spread)
@@ -114,15 +130,15 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
         [gg[idx], dd[idx]],
         method="Nelder-Mead",
         options={
-            "fatol": cfg.refine_tol,
+            "fatol": FLAT_TOL,
             "xatol": 1e-8,
-            "maxiter": cfg.max_refine_iters,
-            "maxfev": 4 * cfg.max_refine_iters,
+            "maxiter": MAX_REFINE_ITERS,
+            "maxfev": 4 * MAX_REFINE_ITERS,
         },
     )
     if not res.success:
         raise NoConvergence(
-            f"basis refinement stopped before reaching tol {cfg.refine_tol:g} "
+            f"basis refinement stopped before reaching tol {FLAT_TOL:g} "
             f"(best value {min(res.fun, vmin):.9g})",
             best_value=float(min(res.fun, vmin)),
         )
@@ -148,8 +164,7 @@ def normal_discord(
     rho: DensityMatrix, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> tuple[float, QubitBasis]:
     """D_s = min_basis S(A|{Pi}) - S(A|B)."""
-    res = _minimize(rho, INFINITY, cfg)
-    return res.value - quantum_conditional_entropy(rho), res.basis
+    return super_discord(rho, INFINITY, cfg)
 
 
 def super_discord(
@@ -164,9 +179,7 @@ def extra_correlation(
     rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> float:
     """Δ = D_w - D_s, the correlation seen by weak but not projective measurement."""
-    dw, _ = super_discord(rho, x, cfg)
-    ds, _ = normal_discord(rho, cfg)
-    return dw - ds
+    return analyze(rho, x, cfg).delta
 
 
 @dataclass(frozen=True)
@@ -181,16 +194,16 @@ class DiscordReport:
     strength: float
 
 
-def analyze(
-    rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
-) -> DiscordReport:
-    """All correlation measures of one state at one strength, bundled."""
+def _analysis(
+    rho: DensityMatrix, x: float, cfg: OptimizerConfig
+) -> tuple[DiscordReport, MinimizationResult, MinimizationResult]:
+    """The report of `analyze` with the strong and weak minima it was built from."""
     cond_qq = quantum_conditional_entropy(rho)
     strong = _minimize(rho, INFINITY, cfg)
     weak = _minimize(rho, x, cfg)
     ds = strong.value - cond_qq
     dw = weak.value - cond_qq
-    return DiscordReport(
+    report = DiscordReport(
         conditional_entropy_qq=cond_qq,
         mutual_info=qstate.mutual_information(rho),
         discord=ds,
@@ -200,6 +213,14 @@ def analyze(
         weak_basis=weak.basis,
         strength=x,
     )
+    return report, strong, weak
+
+
+def analyze(
+    rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
+) -> DiscordReport:
+    """All correlation measures of one state at one strength, bundled."""
+    return _analysis(rho, x, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -211,6 +232,7 @@ class ResurrectionRecord:
     post_weak_basis: QubitBasis
     ambiguous_minimizer: bool
     coincidence: bool
+    report: DiscordReport
 
 
 def verify_resurrection(
@@ -235,17 +257,17 @@ def verify_resurrection(
     we then fall back to the weak-entropy minimizer (the basis whose strong
     limit the flat landscape leaves undetermined), and to the computational
     basis when that landscape is flat as well (e.g. Werner states).
+
+    `report` is `analyze(rho, x, cfg)`; the check adds one minimization to its two.
     """
     if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"resurrection check needs finite x > 0, got {x}")
-    cond_qq = quantum_conditional_entropy(rho)
-    strong = _minimize(rho, INFINITY, cfg)
-    weak = _minimize(rho, x, cfg)
+        raise DomainError(f"resurrection check needs finite x > 0, got {x}")
+    report, strong, weak = _analysis(rho, x, cfg)
     delta = weak.value - strong.value
-    ambiguous = strong.grid_spread < cfg.refine_tol
+    ambiguous = strong.grid_spread < FLAT_TOL
     if not ambiguous:
         proj_basis = strong.basis
-    elif weak.grid_spread >= cfg.refine_tol:
+    elif weak.grid_spread >= FLAT_TOL:
         proj_basis = weak.basis
     else:
         proj_basis = measure.COMPUTATIONAL
@@ -260,4 +282,5 @@ def verify_resurrection(
         post_weak_basis=post_weak.basis,
         ambiguous_minimizer=ambiguous,
         coincidence=measure.same_basis(proj_basis, post_weak.basis),
+        report=report,
     )

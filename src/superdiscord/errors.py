@@ -5,6 +5,10 @@ class QuantumStateError(ValueError):
     """Base class for invalid quantum-state inputs."""
 
 
+class NotFinite(QuantumStateError):
+    pass
+
+
 class NotHermitian(QuantumStateError):
     pass
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, DomainError, NotHermitian, NotPositive, TraceNotOne
+from .errors import BadDimension, DomainError, NotFinite, NotHermitian, NotPositive, TraceNotOne
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -44,6 +44,8 @@ def validate(m, dim_a: int, dim_b: int = 2) -> DensityMatrix:
     if dim_b != 2:
         raise BadDimension(f"measured subsystem B must be a qubit, got dim_b={dim_b}")
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NotFinite("matrix has NaN or infinite entries")
     d = dim_a * dim_b
     if m.shape != (d, d):
         raise BadDimension(f"expected a {d}x{d} matrix, got shape {m.shape}")

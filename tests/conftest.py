@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
+from superdiscord import discord
 
 
 @pytest.fixture
@@ -19,3 +20,17 @@ def random_unitary(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.fixture
+def minimize_calls(monkeypatch):
+    """Strengths of every basis minimization run while the test is active."""
+    strengths = []
+    inner = discord._minimize
+
+    def counting(rho, x, cfg):
+        strengths.append(x)
+        return inner(rho, x, cfg)
+
+    monkeypatch.setattr(discord, "_minimize", counting)
+    return strengths

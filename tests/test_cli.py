@@ -6,6 +6,7 @@ import pytest
 
 import superdiscord as sd
 from superdiscord import cli
+from superdiscord.discord import OptimizerConfig
 from superdiscord.errors import NoConvergence
 from superdiscord.families import binary_entropy
 
@@ -16,15 +17,41 @@ def run(capsys, *argv):
     return rc, out
 
 
+def state_file(path, m, dim_a=2):
+    m = np.asarray(m, dtype=complex)
+    path.write_text(
+        json.dumps({"dim_a": dim_a, "dim_b": 2, "re": m.real.tolist(), "im": m.imag.tolist()})
+    )
+    return str(path)
+
+
 def bell_file(tmp_path):
     v = np.zeros(4)
     v[0] = v[3] = 1 / math.sqrt(2)
-    m = np.outer(v, v)
-    path = tmp_path / "bell.json"
-    path.write_text(
-        json.dumps({"dim_a": 2, "dim_b": 2, "re": m.tolist(), "im": np.zeros((4, 4)).tolist()})
+    return state_file(tmp_path / "bell.json", np.outer(v, v))
+
+
+def expected_sweep_row(param, rho, x, cfg):
+    """A sweep row rebuilt from separate analyze and verify_resurrection calls."""
+    rep = sd.analyze(rho, x, cfg)
+    post, gap = math.nan, math.nan
+    if math.isfinite(x) and x > 0:
+        rec = sd.verify_resurrection(rho, x, cfg)
+        post, gap = rec.post_super_discord, rec.gap
+    values = (
+        param,
+        sd.von_neumann_entropy(rho.entries),
+        sd.von_neumann_entropy(sd.partial_trace_a(rho)),
+        rep.discord + rep.conditional_entropy_qq,
+        rep.super_discord + rep.conditional_entropy_qq,
+        rep.mutual_info,
+        rep.discord,
+        rep.super_discord,
+        rep.delta,
+        post,
+        gap,
     )
-    return str(path)
+    return ",".join(cli.fmt_float(v) for v in values)
 
 
 class TestReport:
@@ -150,6 +177,40 @@ class TestSweep:
             for key in ("I", "D_s", "D_w", "delta", "D_w_post"):
                 assert row[key] == pytest.approx(0.0, abs=1e-9)
 
+    def test_x_sweep_rows_match_library_qudit_file(self, capsys, tmp_path):
+        path = state_file(tmp_path / "a4.json", sd.random_state(4, dim_a=4, rank=8).entries, dim_a=4)
+        rc, out = run(
+            capsys,
+            "sweep", "--state", f"file:{path}", "--axis", "x",
+            "--start", "0", "--stop", "1", "--steps", "3", "--grid", "16",
+        )
+        assert rc == 0
+        rho, cfg = cli.load_state_file(path), OptimizerConfig(grid_gamma=16, grid_delta=16)
+        expected = [expected_sweep_row(float(v), rho, float(v), cfg) for v in np.linspace(0, 1, 3)]
+        assert out.strip().split("\n")[1:] == expected
+
+    def test_z_sweep_rows_match_library_werner(self, capsys):
+        rc, out = run(
+            capsys,
+            "sweep", "--state", "werner", "--axis", "z",
+            "--start", "0.1", "--stop", "0.9", "--steps", "3", "--x", "0.5", "--grid", "16",
+        )
+        assert rc == 0
+        cfg = OptimizerConfig(grid_gamma=16, grid_delta=16)
+        expected = [
+            expected_sweep_row(float(v), sd.werner(float(v)), 0.5, cfg) for v in np.linspace(0.1, 0.9, 3)
+        ]
+        assert out.strip().split("\n")[1:] == expected
+
+    def test_three_minimizations_per_finite_x_row(self, capsys, minimize_calls):
+        rc, _ = run(
+            capsys,
+            "sweep", "--state", "random", "--seed", "3", "--axis", "x",
+            "--start", "0.2", "--stop", "2", "--steps", "4", "--grid", "16",
+        )
+        assert rc == 0
+        assert len(minimize_calls) == 3 * 4
+
     def test_axis_family_mismatch(self, capsys):
         rc, _ = run(capsys, "sweep", "--state", "pure", "--axis", "z",
                     "--start", "0", "--stop", "1", "--steps", "2")
@@ -175,6 +236,27 @@ class TestErrorPaths:
     def test_resurrect_requires_finite_positive_x(self, capsys):
         assert run(capsys, "resurrect", "--state", "werner", "--x", "inf")[0] == 2
         assert run(capsys, "resurrect", "--state", "werner", "--x", "0")[0] == 2
+
+    def test_non_finite_state_file(self, capsys, tmp_path):
+        m = np.eye(4) / 4
+        m[0, 0] = math.nan  # a NaN on the diagonal slips past the Hermitian, trace and eigenvalue checks
+        path = state_file(tmp_path / "nan.json", m)
+        assert run(capsys, "report", "--state", f"file:{path}") == (2, "")
+
+    @pytest.mark.parametrize("grid", ["1", "2"])
+    def test_lattice_of_poles_rejected(self, capsys, grid):
+        rc, out = run(capsys, "report", "--state", "random", "--seed", "1", "--x", "0.5", "--grid", grid)
+        assert (rc, out) == (2, "")
+
+    def test_sweep_without_steps_rejected(self, capsys):
+        rc, out = run(capsys, "sweep", "--state", "werner", "--axis", "z",
+                      "--start", "0", "--stop", "1", "--steps", "0")
+        assert (rc, out) == (2, "")
+
+    def test_refine_tol_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["report", "--state", "werner", "--refine-tol", "10"])
+        assert exc.value.code == 2
 
     def test_no_convergence_exit_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -5,6 +5,7 @@ import pytest
 
 import superdiscord as sd
 from superdiscord.discord import OptimizerConfig
+from superdiscord.errors import DomainError
 from superdiscord.families import binary_entropy
 from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis, same_basis
 
@@ -60,6 +61,11 @@ class TestMinimizer:
 
         res = _minimize(sd.werner(0.6), 0.5, OptimizerConfig())
         assert res.grid_spread <= 1e-9
+
+    @pytest.mark.parametrize("grid", [(1, 64), (2, 64), (64, 0)])
+    def test_config_rejects_lattice_without_off_pole_points(self, grid):
+        with pytest.raises(DomainError):
+            OptimizerConfig(grid_gamma=grid[0], grid_delta=grid[1])
 
     def test_post_werner_minimizer_on_axis(self):
         post = sd.project_state(sd.werner(0.6), COMPUTATIONAL)
@@ -171,6 +177,29 @@ class TestResurrection:
             sd.verify_resurrection(sd.bell(), 0.0)
         with pytest.raises(ValueError):
             sd.verify_resurrection(sd.bell(), INFINITY)
+        with pytest.raises(DomainError):
+            sd.verify_resurrection(sd.bell(), math.nan)
+
+    @pytest.mark.parametrize(
+        "rho, x", [(sd.random_state(12, dim_a=2, rank=4), 1.0), (sd.werner(0.6), 0.5)]
+    )
+    def test_report_is_analyze(self, rho, x):
+        assert sd.verify_resurrection(rho, x).report == sd.analyze(rho, x)
+
+
+class TestMinimizationCount:
+    # strong and weak minima are computed once and shared; the check adds one
+    def test_analyze(self, minimize_calls):
+        sd.analyze(sd.random_state(2), 0.5, FAST_CFG)
+        assert minimize_calls == [INFINITY, 0.5]
+
+    def test_extra_correlation(self, minimize_calls):
+        sd.extra_correlation(sd.random_state(2), 0.5, FAST_CFG)
+        assert minimize_calls == [INFINITY, 0.5]
+
+    def test_verify_resurrection(self, minimize_calls):
+        sd.verify_resurrection(sd.random_state(2), 0.5, FAST_CFG)
+        assert minimize_calls == [INFINITY, 0.5, 0.5]
 
 
 class TestEnsembleProperties:

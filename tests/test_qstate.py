@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
-from superdiscord.errors import BadDimension, NotHermitian, NotPositive, TraceNotOne
+from superdiscord.errors import BadDimension, NotFinite, NotHermitian, NotPositive, TraceNotOne
 from superdiscord.qstate import spectrum
 
 from conftest import random_unitary
@@ -42,6 +42,17 @@ class TestValidate:
     def test_trace_not_one(self):
         with pytest.raises(TraceNotOne):
             sd.validate(np.eye(4) / 2, dim_a=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NotFinite):
+            sd.validate(m, dim_a=2)
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3] = complex(0.0, bad)
+        with pytest.raises(NotFinite):
+            sd.validate(m, dim_a=2)
 
     def test_bad_dimensions(self):
         with pytest.raises(BadDimension):
