@@ -3,7 +3,9 @@ the post-measurement resurrection check.
 
 The basis minimization is a two-phase scheme: exhaustive evaluation on a
 (gamma, delta) lattice, then Nelder-Mead refinement from the best lattice
-point. Lattice evaluation is vectorized over all grid points at once.
+point. Lattice evaluation is vectorized over all grid points at once. The
+refinement is an in-package port of scipy's default Nelder-Mead that keeps
+its iterates bit for bit, so numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from . import measure, qstate
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NegativeStrength, NoConvergence
 from .measure import INFINITY, QubitBasis
 from .qstate import DensityMatrix
 
@@ -99,6 +100,100 @@ def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.
     return vals
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class _NMResult:
+    x: tuple[float, float]
+    fun: float
+    nfev: int
+    success: bool
+
+
+def _nm_minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) -> _NMResult:
+    """Nelder-Mead on two variables, step for step as scipy's default method.
+
+    A port of ``scipy.optimize._optimize._minimize_neldermead`` as
+    ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=...)``
+    runs it (adaptive=False, no bounds, no initial simplex). It performs the
+    same float operations in the same order, so ``x``, ``fun``, ``nfev`` and
+    ``success`` equal scipy's bit for bit. The step coefficients are scipy's
+    rho = 1, chi = 2 and psi = sigma = 1/2, and vertices are stably sorted by
+    value, NaN last, as numpy's argsort sorts three items.
+    """
+    nfev = 0
+
+    def f(p):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return float(fun(p))
+
+    def lin(a, p, b, q):
+        return (a * p[0] + b * q[0], a * p[1] + b * q[1])
+
+    def sort():
+        order = sorted(range(3), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
+        sim[:] = [sim[k] for k in order]
+        fsim[:] = [fsim[k] for k in order]
+
+    x0 = (float(x0[0]), float(x0[1]))
+    sim = [x0, ((1 + 0.05) * x0[0] if x0[0] != 0 else 0.00025, x0[1]),
+           (x0[0], (1 + 0.05) * x0[1] if x0[1] != 0 else 0.00025)]
+    fsim = [math.inf] * 3
+    try:
+        for k in range(3):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sort()
+
+    it = 1
+    while nfev < maxfev and it < maxiter:
+        try:
+            s0, s2 = sim[0], sim[2]
+            if all(abs(v[i] - s0[i]) <= xatol for v in sim[1:] for i in (0, 1)) and all(
+                abs(fsim[0] - fj) <= fatol for fj in fsim[1:]
+            ):
+                break
+            xbar = ((s0[0] + sim[1][0]) / 2, (s0[1] + sim[1][1]) / 2)
+            xr = lin(2, xbar, -1, s2)  # reflect
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = lin(3, xbar, -2, s2)  # expand
+                fxe = f(xe)
+                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
+            elif fxr < fsim[2]:
+                xc = lin(1.5, xbar, -0.5, s2)  # contract outside
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[2], fsim[2] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = lin(0.5, xbar, 0.5, s2)  # contract inside
+                fxcc = f(xcc)
+                if fxcc < fsim[2]:
+                    sim[2], fsim[2] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in (1, 2):
+                    sim[j] = (s0[0] + 0.5 * (sim[j][0] - s0[0]), s0[1] + 0.5 * (sim[j][1] - s0[1]))
+                    fsim[j] = f(sim[j])
+            it += 1
+        except _BudgetSpent:
+            pass
+        sort()
+    return _NMResult(sim[0], fsim[0], nfev, nfev < maxfev and it < maxiter)
+
+
 @dataclass(frozen=True)
 class MinimizationResult:
     basis: QubitBasis
@@ -107,6 +202,8 @@ class MinimizationResult:
 
 
 def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> MinimizationResult:
+    if not x >= 0:
+        raise NegativeStrength(f"strength must be >= 0, got {x}")
     rho4 = rho.as_tensor()
     gammas = np.linspace(0.0, math.pi, cfg.grid_gamma)
     deltas = np.linspace(0.0, 2 * math.pi, cfg.grid_delta, endpoint=False)
@@ -127,14 +224,11 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
 
     res = _nm_minimize(
         objective,
-        [gg[idx], dd[idx]],
-        method="Nelder-Mead",
-        options={
-            "fatol": FLAT_TOL,
-            "xatol": 1e-8,
-            "maxiter": MAX_REFINE_ITERS,
-            "maxfev": 4 * MAX_REFINE_ITERS,
-        },
+        (gg[idx], dd[idx]),
+        xatol=1e-8,
+        fatol=FLAT_TOL,
+        maxiter=MAX_REFINE_ITERS,
+        maxfev=4 * MAX_REFINE_ITERS,
     )
     if not res.success:
         raise NoConvergence(

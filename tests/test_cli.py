@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -253,6 +256,12 @@ class TestErrorPaths:
                       "--start", "0", "--stop", "1", "--steps", "0")
         assert (rc, out) == (2, "")
 
+    @pytest.mark.parametrize("start", ["-1", "nan"])
+    def test_x_sweep_rejects_negative_and_nan_strength(self, capsys, start):
+        rc, out = run(capsys, "sweep", "--state", "random", "--axis", "x",
+                      "--start", start, "--stop", "1", "--steps", "2", "--grid", "4")
+        assert (rc, out) == (2, "")
+
     def test_refine_tol_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["report", "--state", "werner", "--refine-tol", "10"])
@@ -264,6 +273,18 @@ class TestErrorPaths:
 
         monkeypatch.setattr(cli.discord, "analyze", boom)
         assert run(capsys, "report", "--state", "werner")[0] == 3
+
+    def test_refinement_out_of_iterations_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.discord, "MAX_REFINE_ITERS", 3)
+        assert run(capsys, "report", "--state", "random", "--seed", "1") == (3, "")
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(sd.__file__))
+    code = "import sys, superdiscord.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFormatting:

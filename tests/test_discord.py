@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
-from superdiscord.discord import OptimizerConfig
-from superdiscord.errors import DomainError
+from superdiscord import discord
+from superdiscord.discord import DEFAULT_CONFIG, OptimizerConfig
+from superdiscord.errors import DomainError, NegativeStrength, NoConvergence
 from superdiscord.families import binary_entropy
 from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis, same_basis
 
@@ -66,6 +67,22 @@ class TestMinimizer:
     def test_config_rejects_lattice_without_off_pole_points(self, grid):
         with pytest.raises(DomainError):
             OptimizerConfig(grid_gamma=grid[0], grid_delta=grid[1])
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan])
+    def test_rejects_negative_and_nan_strength(self, x):
+        with pytest.raises(NegativeStrength):
+            sd.analyze(sd.random_state(1), x, FAST_CFG)
+
+    def test_refinement_out_of_iterations_raises(self, monkeypatch):
+        rho = sd.random_state(1)
+        gg, dd = np.meshgrid(
+            np.linspace(0, math.pi, 64), np.linspace(0, 2 * math.pi, 64, endpoint=False), indexing="ij"
+        )
+        lattice_min = discord._batched_weak_ce(rho.as_tensor(), 0.5, gg.ravel(), dd.ravel()).min()
+        monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 3)
+        with pytest.raises(NoConvergence) as exc:
+            discord._minimize(rho, 0.5, DEFAULT_CONFIG)
+        assert exc.value.best_value <= lattice_min
 
     def test_post_werner_minimizer_on_axis(self):
         post = sd.project_state(sd.werner(0.6), COMPUTATIONAL)
@@ -228,3 +245,47 @@ class TestEnsembleProperties:
         assert sd.super_discord(rotated, 0.5)[0] == pytest.approx(
             sd.super_discord(rho, 0.5)[0], abs=1e-6
         )
+
+
+def rosenbrock(p):
+    return (1 - p[0]) ** 2 + 100 * (p[1] - p[0] ** 2) ** 2
+
+
+def weak_ce_objective(seed, x):
+    rho4 = sd.random_state(seed).as_tensor()
+    return lambda p: float(discord._batched_weak_ce(rho4, x, np.array([p[0]]), np.array([p[1]]))[0])
+
+
+REFINE_OPTIONS = {"xatol": 1e-8, "fatol": 1e-8, "maxiter": 500, "maxfev": 2000}
+
+
+class TestNelderMeadPort:
+    """`_nm_minimize` against scipy's Nelder-Mead: equal with ==, not approx."""
+
+    @pytest.mark.parametrize(
+        "fun, x0, options",
+        [
+            *[pytest.param(weak_ce_objective(seed, x), (0.7, 1.3), REFINE_OPTIONS, id=f"weak-ce-{seed}-x{x}")
+              for seed in range(3) for x in (0.5, INFINITY)],
+            pytest.param(weak_ce_objective(4, 0.5), (0.0, 2.0), REFINE_OPTIONS, id="weak-ce-pole"),
+            pytest.param(weak_ce_objective(5, INFINITY), (1.2, 0.0), REFINE_OPTIONS, id="weak-ce-delta0"),
+            pytest.param(rosenbrock, (-1.2, 1.0), REFINE_OPTIONS, id="rosenbrock"),
+            pytest.param(rosenbrock, (0.0, 0.0), REFINE_OPTIONS, id="rosenbrock-origin"),
+            pytest.param(rosenbrock, (-1.2, 1.0), {**REFINE_OPTIONS, "maxiter": 5}, id="maxiter5"),
+            *[pytest.param(rosenbrock, (-1.2, 1.0), {**REFINE_OPTIONS, "maxfev": n}, id=f"maxfev{n}")
+              for n in (2, 7, 8)],
+            *[pytest.param(lambda p: 1.0, (0.0, 0.0), {**REFINE_OPTIONS, "maxfev": n}, id=f"constant-maxfev{n}")
+              for n in (3, 4, 50)],
+        ],
+    )
+    def test_matches_scipy(self, fun, x0, options):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        ref = minimize(fun, list(x0), method="Nelder-Mead", options=options)
+        res = discord._nm_minimize(fun, x0, **options)
+        assert (tuple(res.x), res.fun, res.nfev, res.success) == (
+            tuple(ref.x), ref.fun, ref.nfev, ref.success
+        )
+
+    def test_failure_branches_reached(self):
+        assert not discord._nm_minimize(rosenbrock, (-1.2, 1.0), **{**REFINE_OPTIONS, "maxiter": 5}).success
+        assert not discord._nm_minimize(rosenbrock, (-1.2, 1.0), **{**REFINE_OPTIONS, "maxfev": 8}).success
