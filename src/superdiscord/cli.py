@@ -16,7 +16,7 @@ import numpy as np
 from . import discord, families, qstate
 from .discord import OptimizerConfig
 from .errors import DomainError, NoConvergence, QuantumStateError
-from .measure import INFINITY, QubitBasis
+from .measure import QubitBasis
 from .qstate import DensityMatrix
 
 EXIT_OK = 0
@@ -47,11 +47,9 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def _json_value(v) -> str:
+def dumps(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         if math.isfinite(v):
             return fmt_float(v)
@@ -59,28 +57,13 @@ def _json_value(v) -> str:
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_json_value(v[k])}" for k in sorted(v))
+        inner = ",".join(f"{json.dumps(k)}:{dumps(v[k])}" for k in sorted(v))
         return "{" + inner + "}"
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_json_value(i) for i in v) + "]"
     raise TypeError(f"cannot serialize {type(v)}")
-
-
-def dumps(obj) -> str:
-    return _json_value(obj)
 
 
 def _basis_dict(b: QubitBasis) -> dict:
     return {"gamma": float(b.gamma), "delta": float(b.delta)}
-
-
-def parse_strength(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return INFINITY
-    x = float(text)
-    if x < 0 or math.isnan(x):
-        raise ValueError(f"strength must be >= 0 or 'inf', got {text}")
-    return x
 
 
 def load_state_file(path: str) -> DensityMatrix:
@@ -146,7 +129,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_report(args) -> int:
     rho = resolve_state(args)
-    x = parse_strength(args.x)
+    x = float(args.x)
     rep = discord.analyze(rho, x, make_config(args))
     if args.format == "json":
         payload = {
@@ -186,7 +169,7 @@ def cmd_report(args) -> int:
 
 def cmd_resurrect(args) -> int:
     rho = resolve_state(args)
-    x = parse_strength(args.x)
+    x = float(args.x)
     rec = discord.verify_resurrection(rho, x, make_config(args))
     payload = {
         "delta": rec.delta,
@@ -221,7 +204,7 @@ def cmd_sweep(args) -> int:
     grid = np.linspace(args.start, args.stop, args.steps)
     lines = [",".join(SWEEP_COLUMNS)]
     for value in grid:
-        x = float(value) if args.axis == "x" else parse_strength(args.x)
+        x = float(value if args.axis == "x" else args.x)
         rho = _sweep_state(args, float(value))
         s_ab = qstate.von_neumann_entropy(rho.entries)
         s_b = qstate.von_neumann_entropy(qstate.partial_trace_a(rho))

@@ -5,7 +5,11 @@ The basis minimization is a two-phase scheme: exhaustive evaluation on a
 (gamma, delta) lattice, then Nelder-Mead refinement from the best lattice
 point. Lattice evaluation is vectorized over all grid points at once. The
 refinement is an in-package port of scipy's default Nelder-Mead that keeps
-its iterates bit for bit, so numpy is the only runtime dependency.
+its iterates bit for bit, so numpy is the only runtime dependency. Its
+constants are fixed, not options: angle tolerance 1e-8, value tolerance
+FLAT_TOL and at most MAX_REFINE_ITERS iterations, the settings every reported
+number has been computed with. It has no evaluation budget, because the
+iteration cap already bounds the evaluations (see `_nm_minimize`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, qstate
-from .errors import DomainError, NegativeStrength, NoConvergence
+from .errors import DomainError, NoConvergence
 from .measure import INFINITY, QubitBasis
 from .qstate import DensityMatrix
 
@@ -77,9 +81,7 @@ def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) ->
 
 def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Weak conditional entropy for a flat batch of (gamma, delta) bases."""
-    t = math.tanh(x) if math.isfinite(x) else 1.0
-    ap = math.sqrt((1.0 - t) / 2.0)
-    am = math.sqrt((1.0 + t) / 2.0)
+    ap, am = measure.weak_amplitudes(x)
     kets = np.stack(
         [np.cos(gammas / 2), np.exp(1j * deltas) * np.sin(gammas / 2)], axis=-1
     )
@@ -100,10 +102,6 @@ def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.
     return vals
 
 
-class _BudgetSpent(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class _NMResult:
     x: tuple[float, float]
@@ -112,23 +110,28 @@ class _NMResult:
     success: bool
 
 
-def _nm_minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) -> _NMResult:
+def _nm_minimize(fun, x0) -> _NMResult:
     """Nelder-Mead on two variables, step for step as scipy's default method.
 
     A port of ``scipy.optimize._optimize._minimize_neldermead`` as
     ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=...)``
-    runs it (adaptive=False, no bounds, no initial simplex). It performs the
-    same float operations in the same order, so ``x``, ``fun``, ``nfev`` and
-    ``success`` equal scipy's bit for bit. The step coefficients are scipy's
-    rho = 1, chi = 2 and psi = sigma = 1/2, and vertices are stably sorted by
-    value, NaN last, as numpy's argsort sorts three items.
+    runs it (adaptive=False, no bounds, no initial simplex) with options
+    xatol = 1e-8, fatol = FLAT_TOL, maxiter = MAX_REFINE_ITERS and
+    maxfev = 4 * MAX_REFINE_ITERS. It performs the same float operations in the
+    same order, so ``x``, ``fun``, ``nfev`` and ``success`` equal scipy's bit
+    for bit. The step coefficients are scipy's rho = 1, chi = 2 and
+    psi = sigma = 1/2, and vertices are stably sorted by value, NaN last, as
+    numpy's argsort sorts three items.
+
+    That maxfev never binds, so it is not checked: the simplex costs 3
+    evaluations and each iteration at most 4 (reflect, contract, two shrink
+    points), so nfev <= 3 + 4 * (maxiter - 1) < 4 * maxiter. Success means the
+    tolerances were met within maxiter iterations.
     """
     nfev = 0
 
     def f(p):
         nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
         nfev += 1
         return float(fun(p))
 
@@ -143,55 +146,47 @@ def _nm_minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: i
     x0 = (float(x0[0]), float(x0[1]))
     sim = [x0, ((1 + 0.05) * x0[0] if x0[0] != 0 else 0.00025, x0[1]),
            (x0[0], (1 + 0.05) * x0[1] if x0[1] != 0 else 0.00025)]
-    fsim = [math.inf] * 3
-    try:
-        for k in range(3):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
+    fsim = [f(v) for v in sim]
     sort()
 
     it = 1
-    while nfev < maxfev and it < maxiter:
-        try:
-            s0, s2 = sim[0], sim[2]
-            if all(abs(v[i] - s0[i]) <= xatol for v in sim[1:] for i in (0, 1)) and all(
-                abs(fsim[0] - fj) <= fatol for fj in fsim[1:]
-            ):
-                break
-            xbar = ((s0[0] + sim[1][0]) / 2, (s0[1] + sim[1][1]) / 2)
-            xr = lin(2, xbar, -1, s2)  # reflect
-            fxr = f(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = lin(3, xbar, -2, s2)  # expand
-                fxe = f(xe)
-                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[1]:
-                sim[2], fsim[2] = xr, fxr
-            elif fxr < fsim[2]:
-                xc = lin(1.5, xbar, -0.5, s2)  # contract outside
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[2], fsim[2] = xc, fxc
-                else:
-                    shrink = True
+    while it < MAX_REFINE_ITERS:
+        s0, s2 = sim[0], sim[2]
+        if all(abs(v[i] - s0[i]) <= 1e-8 for v in sim[1:] for i in (0, 1)) and all(
+            abs(fsim[0] - fj) <= FLAT_TOL for fj in fsim[1:]
+        ):
+            break
+        xbar = ((s0[0] + sim[1][0]) / 2, (s0[1] + sim[1][1]) / 2)
+        xr = lin(2, xbar, -1, s2)  # reflect
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = lin(3, xbar, -2, s2)  # expand
+            fxe = f(xe)
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[1]:
+            sim[2], fsim[2] = xr, fxr
+        elif fxr < fsim[2]:
+            xc = lin(1.5, xbar, -0.5, s2)  # contract outside
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[2], fsim[2] = xc, fxc
             else:
-                xcc = lin(0.5, xbar, 0.5, s2)  # contract inside
-                fxcc = f(xcc)
-                if fxcc < fsim[2]:
-                    sim[2], fsim[2] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in (1, 2):
-                    sim[j] = (s0[0] + 0.5 * (sim[j][0] - s0[0]), s0[1] + 0.5 * (sim[j][1] - s0[1]))
-                    fsim[j] = f(sim[j])
-            it += 1
-        except _BudgetSpent:
-            pass
+                shrink = True
+        else:
+            xcc = lin(0.5, xbar, 0.5, s2)  # contract inside
+            fxcc = f(xcc)
+            if fxcc < fsim[2]:
+                sim[2], fsim[2] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in (1, 2):
+                sim[j] = (s0[0] + 0.5 * (sim[j][0] - s0[0]), s0[1] + 0.5 * (sim[j][1] - s0[1]))
+                fsim[j] = f(sim[j])
+        it += 1
         sort()
-    return _NMResult(sim[0], fsim[0], nfev, nfev < maxfev and it < maxiter)
+    return _NMResult(sim[0], fsim[0], nfev, it < MAX_REFINE_ITERS)
 
 
 @dataclass(frozen=True)
@@ -202,8 +197,6 @@ class MinimizationResult:
 
 
 def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> MinimizationResult:
-    if not x >= 0:
-        raise NegativeStrength(f"strength must be >= 0, got {x}")
     rho4 = rho.as_tensor()
     gammas = np.linspace(0.0, math.pi, cfg.grid_gamma)
     deltas = np.linspace(0.0, 2 * math.pi, cfg.grid_delta, endpoint=False)
@@ -214,33 +207,25 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
     spread = float(vals.max()) - vmin
     # ties broken toward smallest gamma, then delta (row-major, gamma outer)
     idx = int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])
-    if spread < FLAT_TOL:
-        # flat landscape: nothing to refine, and Nelder-Mead cycles on exact ties
-        basis = measure.basis_from_ket(QubitBasis(float(gg[idx]), float(dd[idx])).ket())
-        return MinimizationResult(basis, float(vals[idx]), spread)
+    g_best, d_best, v_best = float(gg[idx]), float(dd[idx]), float(vals[idx])
 
     def objective(p):
         return float(_batched_weak_ce(rho4, x, np.array([p[0]]), np.array([p[1]]))[0])
 
-    res = _nm_minimize(
-        objective,
-        (gg[idx], dd[idx]),
-        xatol=1e-8,
-        fatol=FLAT_TOL,
-        maxiter=MAX_REFINE_ITERS,
-        maxfev=4 * MAX_REFINE_ITERS,
-    )
-    if not res.success:
-        raise NoConvergence(
-            f"basis refinement stopped before reaching tol {FLAT_TOL:g} "
-            f"(best value {min(res.fun, vmin):.9g})",
-            best_value=float(min(res.fun, vmin)),
-        )
-    if res.fun <= vmin:
-        g_best, d_best, v_best = float(res.x[0]), float(res.x[1]), float(res.fun)
-    else:
-        jmin = int(np.flatnonzero(vals <= vmin)[0])
-        g_best, d_best, v_best = float(gg[jmin]), float(dd[jmin]), vmin
+    # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
+    if spread >= FLAT_TOL:
+        res = _nm_minimize(objective, (gg[idx], dd[idx]))
+        if not res.success:
+            raise NoConvergence(
+                f"basis refinement stopped before reaching tol {FLAT_TOL:g} "
+                f"(best value {min(res.fun, vmin):.9g})",
+                best_value=float(min(res.fun, vmin)),
+            )
+        if res.fun <= vmin:
+            g_best, d_best, v_best = float(res.x[0]), float(res.x[1]), float(res.fun)
+        else:
+            jmin = int(np.argmin(vals))
+            g_best, d_best, v_best = float(gg[jmin]), float(dd[jmin]), vmin
     # fold arbitrary refined angles back into canonical ranges
     basis = measure.basis_from_ket(QubitBasis(g_best, d_best).ket())
     return MinimizationResult(basis, v_best, spread)

@@ -75,17 +75,26 @@ class WeakOperatorPair:
     op_minus: np.ndarray
 
 
+def weak_amplitudes(x: float) -> tuple[float, float]:
+    """(a(x), a(-x)) with a(±x) = sqrt((1 ∓ tanh x)/2), for a strength x >= 0.
+
+    The one strength rule of the package: a negative or NaN x raises
+    NegativeStrength, and x = INFINITY gives tanh = 1 exactly, the projective
+    limit a(x) = 0, a(-x) = 1.
+    """
+    if not x >= 0:
+        raise NegativeStrength(f"strength must be >= 0, got {x}")
+    t = math.tanh(x) if math.isfinite(x) else 1.0
+    return math.sqrt((1.0 - t) / 2.0), math.sqrt((1.0 + t) / 2.0)
+
+
 def weak_pair(basis: QubitBasis, x: float) -> WeakOperatorPair:
     """Build P(x) = a(x) Pi_phi + a(-x) Pi_phibar and its partner P(-x).
 
-    a(±x) = sqrt((1 ∓ tanh x)/2); x = INFINITY yields the projective limit
-    P(-x) = Pi_phi, P(x) = Pi_phibar exactly (tanh(inf) = 1).
+    x = INFINITY yields the projective limit P(-x) = Pi_phi, P(x) = Pi_phibar
+    exactly; see `weak_amplitudes`.
     """
-    if x < 0:
-        raise NegativeStrength(f"strength must be >= 0, got {x}")
-    t = math.tanh(x) if math.isfinite(x) else 1.0
-    ap = math.sqrt((1.0 - t) / 2.0)
-    am = math.sqrt((1.0 + t) / 2.0)
+    ap, am = weak_amplitudes(x)
     pi, pib = projectors(basis)
     return WeakOperatorPair(basis, x, ap, am, ap * pi + am * pib, am * pi + ap * pib)
 

@@ -234,7 +234,9 @@ class TestErrorPaths:
         assert run(capsys, "report", "--state", "file:/does/not/exist.json")[0] == 2
 
     def test_negative_strength(self, capsys):
-        assert run(capsys, "report", "--state", "werner", "--x", "-0.5")[0] == 2
+        for x in ("-0.5", "nan", "abc"):
+            assert run(capsys, "report", "--state", "werner", "--x", x) == (2, ""), x
+        assert run(capsys, "resurrect", "--state", "werner", "--x", "nan") == (2, "")
 
     def test_resurrect_requires_finite_positive_x(self, capsys):
         assert run(capsys, "resurrect", "--state", "werner", "--x", "inf")[0] == 2

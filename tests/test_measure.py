@@ -72,8 +72,13 @@ class TestWeakPair:
         assert np.allclose(pair.op_minus, np.diag([a_minus, a_plus]), atol=1e-15)
 
     def test_negative_strength_rejected(self):
+        for x in (-1.0, math.nan):
+            with pytest.raises(NegativeStrength):
+                sd.weak_pair(COMPUTATIONAL, x)
+
+    def test_nan_strength_rejected_by_weak_conditional_entropy(self):
         with pytest.raises(NegativeStrength):
-            sd.weak_pair(COMPUTATIONAL, -0.1)
+            sd.weak_conditional_entropy(sd.werner(0.6), COMPUTATIONAL, math.nan)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_completeness_and_commutation(self, seed):
