@@ -13,10 +13,10 @@ import sys
 
 import numpy as np
 
-from . import discord, families, qstate
+from . import discord, families, measure, qstate
 from .discord import OptimizerConfig
 from .errors import DomainError, NoConvergence, QuantumStateError
-from .measure import QubitBasis
+from .measure import INFINITY, QubitBasis
 from .qstate import DensityMatrix
 
 EXIT_OK = 0
@@ -185,14 +185,6 @@ def cmd_resurrect(args) -> int:
     return EXIT_OK if rec.gap <= args.gap_tol else EXIT_GAP
 
 
-def _sweep_state(args, value: float) -> DensityMatrix:
-    if args.axis == "z":
-        return families.werner(value)
-    if args.axis == "lambda0":
-        return families.pure_schmidt(value)
-    return resolve_state(args)
-
-
 def cmd_sweep(args) -> int:
     if args.axis == "z" and args.state not in ("werner",):
         raise QuantumStateError("axis 'z' requires --state werner")
@@ -201,20 +193,31 @@ def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise DomainError(f"sweep needs --steps >= 1, got {args.steps}")
     cfg = make_config(args)
-    grid = np.linspace(args.start, args.stop, args.steps)
+    grid = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+    strong = None
+    if args.axis == "x":
+        # the state is fixed along x, so its strong minimum is found once, after
+        # every strength has passed the strength rule
+        for value in grid:
+            measure.weak_amplitudes(value)
+        rho = resolve_state(args)
+        strong = discord._minimize(rho, INFINITY, cfg)
     lines = [",".join(SWEEP_COLUMNS)]
     for value in grid:
-        x = float(value if args.axis == "x" else args.x)
-        rho = _sweep_state(args, float(value))
+        x = value if args.axis == "x" else float(args.x)
+        if args.axis == "z":
+            rho = families.werner(value)
+        elif args.axis == "lambda0":
+            rho = families.pure_schmidt(value)
         s_ab = qstate.von_neumann_entropy(rho.entries)
         s_b = qstate.von_neumann_entropy(qstate.partial_trace_a(rho))
         if math.isfinite(x) and x > 0:
-            rec = discord.verify_resurrection(rho, x, cfg)
+            rec = discord._resurrection(rho, x, cfg, strong)
             rep, dw_post, gap = rec.report, rec.post_super_discord, rec.gap
         else:
-            rep, dw_post, gap = discord.analyze(rho, x, cfg), math.nan, math.nan
+            rep, dw_post, gap = discord._analysis(rho, x, cfg, strong)[0], math.nan, math.nan
         row = (
-            float(value),
+            value,
             s_ab,
             s_b,
             rep.discord + rep.conditional_entropy_qq,

@@ -4,12 +4,16 @@ the post-measurement resurrection check.
 The basis minimization is a two-phase scheme: exhaustive evaluation on a
 (gamma, delta) lattice, then Nelder-Mead refinement from the best lattice
 point. Lattice evaluation is vectorized over all grid points at once. The
-refinement is an in-package port of scipy's default Nelder-Mead that keeps
-its iterates bit for bit, so numpy is the only runtime dependency. Its
-constants are fixed, not options: angle tolerance 1e-8, value tolerance
-FLAT_TOL and at most MAX_REFINE_ITERS iterations, the settings every reported
-number has been computed with. It has no evaluation budget, because the
-iteration cap already bounds the evaluations (see `_nm_minimize`).
+kernel contracts each outcome operator with the state as the two matmuls that
+numpy's einsum optimizer runs for the same contraction, so its values are the
+einsum's bit for bit without planning the contraction on every call (for the
+one-point calls of the refinement, that planning cost more than the
+arithmetic). The refinement is an in-package port of scipy's default
+Nelder-Mead that keeps its iterates bit for bit, so numpy is the only runtime
+dependency. Its constants are fixed, not options: angle tolerance 1e-8, value
+tolerance FLAT_TOL and at most MAX_REFINE_ITERS iterations, the settings every
+reported number has been computed with. It has no evaluation budget, because
+the iteration cap already bounds the evaluations (see `_nm_minimize`).
 """
 
 from __future__ import annotations
@@ -80,17 +84,30 @@ def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) ->
 
 
 def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Weak conditional entropy for a flat batch of (gamma, delta) bases."""
+    """Weak conditional entropy for a flat batch of (gamma, delta) bases.
+
+    The unnormalized conditional state of A is M_ij = Σ_abc P_ab ρ_ibjc P_ca for
+    each outcome operator P. It is computed as the two matmuls that
+    ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` runs: T = P·P,
+    then the (n, 4) rows T_bc against ρ laid out as (bc, ij). Those are the
+    same float operations in the same order, so every value equals the einsum's
+    bit for bit, without re-planning the contraction on each call. Each outcome
+    stays its own batch: matmul takes a different path for one row than for
+    several, so stacking P(x) and P(-x) would change values at odd dim_a.
+    """
     ap, am = measure.weak_amplitudes(x)
+    n, dim_a = len(gammas), rho4.shape[0]
     kets = np.stack(
         [np.cos(gammas / 2), np.exp(1j * deltas) * np.sin(gammas / 2)], axis=-1
     )
     proj = kets[:, :, None] * kets.conj()[:, None, :]
     eye = np.eye(2)
-    vals = np.zeros(len(gammas))
+    r = np.einsum("ibjc->bcij", rho4).reshape(4, dim_a * dim_a)
+    vals = np.zeros(n)
     for c_phi, c_bar in ((ap, am), (am, ap)):
         ops = c_bar * eye + (c_phi - c_bar) * proj
-        m = np.einsum("gab,ibjc,gca->gij", ops, rho4, ops, optimize=True)
+        t = np.matmul(ops, ops).transpose(0, 2, 1).reshape(n, 4)
+        m = np.matmul(t, r).reshape(n, dim_a, dim_a)
         p = np.real(np.einsum("gii->g", m))
         lam = np.linalg.eigvalsh(m)
         live = p > measure.DEGENERATE_PROB
@@ -274,12 +291,19 @@ class DiscordReport:
 
 
 def _analysis(
-    rho: DensityMatrix, x: float, cfg: OptimizerConfig
+    rho: DensityMatrix, x: float, cfg: OptimizerConfig, strong: MinimizationResult | None = None
 ) -> tuple[DiscordReport, MinimizationResult, MinimizationResult]:
-    """The report of `analyze` with the strong and weak minima it was built from."""
+    """The report of `analyze` with the strong and weak minima it was built from.
+
+    `strong`, when given, is rho's strong minimum at cfg, reused instead of
+    recomputed (an x-sweep holds the state fixed). At x = INFINITY the weak
+    minimum is the strong one.
+    """
+    measure.weak_amplitudes(x)  # reject a bad strength before any minimization
     cond_qq = quantum_conditional_entropy(rho)
-    strong = _minimize(rho, INFINITY, cfg)
-    weak = _minimize(rho, x, cfg)
+    if strong is None:
+        strong = _minimize(rho, INFINITY, cfg)
+    weak = strong if x == INFINITY else _minimize(rho, x, cfg)
     ds = strong.value - cond_qq
     dw = weak.value - cond_qq
     report = DiscordReport(
@@ -339,9 +363,16 @@ def verify_resurrection(
 
     `report` is `analyze(rho, x, cfg)`; the check adds one minimization to its two.
     """
+    return _resurrection(rho, x, cfg)
+
+
+def _resurrection(
+    rho: DensityMatrix, x: float, cfg: OptimizerConfig, strong: MinimizationResult | None = None
+) -> ResurrectionRecord:
+    """`verify_resurrection`, reusing `strong` as `_analysis` does."""
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"resurrection check needs finite x > 0, got {x}")
-    report, strong, weak = _analysis(rho, x, cfg)
+    report, strong, weak = _analysis(rho, x, cfg, strong)
     delta = weak.value - strong.value
     ambiguous = strong.grid_spread < FLAT_TOL
     if not ambiguous:

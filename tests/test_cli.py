@@ -212,7 +212,7 @@ class TestSweep:
             "--start", "0.2", "--stop", "2", "--steps", "4", "--grid", "16",
         )
         assert rc == 0
-        assert len(minimize_calls) == 3 * 4
+        assert len(minimize_calls) == 1 + 2 * 4  # one strong minimum shared by the rows
 
     def test_axis_family_mismatch(self, capsys):
         rc, _ = run(capsys, "sweep", "--state", "pure", "--axis", "z",
@@ -259,10 +259,11 @@ class TestErrorPaths:
         assert (rc, out) == (2, "")
 
     @pytest.mark.parametrize("start", ["-1", "nan"])
-    def test_x_sweep_rejects_negative_and_nan_strength(self, capsys, start):
+    def test_x_sweep_rejects_negative_and_nan_strength(self, capsys, start, minimize_calls):
         rc, out = run(capsys, "sweep", "--state", "random", "--axis", "x",
                       "--start", start, "--stop", "1", "--steps", "2", "--grid", "4")
         assert (rc, out) == (2, "")
+        assert minimize_calls == []
 
     def test_refine_tol_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
-from superdiscord import discord
+from superdiscord import discord, measure
 from superdiscord.discord import DEFAULT_CONFIG, OptimizerConfig
 from superdiscord.errors import DomainError, NegativeStrength, NoConvergence
 from superdiscord.families import binary_entropy
@@ -69,9 +69,10 @@ class TestMinimizer:
             OptimizerConfig(grid_gamma=grid[0], grid_delta=grid[1])
 
     @pytest.mark.parametrize("x", [-1.0, math.nan])
-    def test_rejects_negative_and_nan_strength(self, x):
+    def test_rejects_negative_and_nan_strength(self, x, minimize_calls):
         with pytest.raises(NegativeStrength):
             sd.analyze(sd.random_state(1), x, FAST_CFG)
+        assert minimize_calls == []  # rejected before the strong minimization
 
     def test_refinement_out_of_iterations_raises(self, monkeypatch):
         rho = sd.random_state(1)
@@ -218,6 +219,16 @@ class TestMinimizationCount:
         sd.verify_resurrection(sd.random_state(2), 0.5, FAST_CFG)
         assert minimize_calls == [INFINITY, 0.5, 0.5]
 
+    # at x = INFINITY the weak minimum is the strong one
+    def test_analyze_at_infinity(self, minimize_calls):
+        rep = sd.analyze(sd.random_state(2), INFINITY, FAST_CFG)
+        assert minimize_calls == [INFINITY]
+        assert (rep.delta, rep.weak_basis) == (0.0, rep.strong_basis)
+
+    def test_extra_correlation_at_infinity(self, minimize_calls):
+        sd.extra_correlation(sd.random_state(2), INFINITY, FAST_CFG)
+        assert minimize_calls == [INFINITY]
+
 
 class TestEnsembleProperties:
     # acceptance runs the full-size versions; these are fast smoke checks
@@ -286,3 +297,56 @@ class TestNelderMeadPort:
     def test_failure_branches_reached(self, monkeypatch):
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
         assert not discord._nm_minimize(rosenbrock, (-1.2, 1.0)).success
+
+
+def einsum_weak_ce(rho4, x, gammas, deltas):
+    """The kernel as first written: one optimized three-operand einsum per outcome."""
+    ap, am = measure.weak_amplitudes(x)
+    kets = np.stack([np.cos(gammas / 2), np.exp(1j * deltas) * np.sin(gammas / 2)], axis=-1)
+    proj = kets[:, :, None] * kets.conj()[:, None, :]
+    vals = np.zeros(len(gammas))
+    for c_phi, c_bar in ((ap, am), (am, ap)):
+        ops = c_bar * np.eye(2) + (c_phi - c_bar) * proj
+        m = np.einsum("gab,ibjc,gca->gij", ops, rho4, ops, optimize=True)
+        p = np.real(np.einsum("gii->g", m))
+        lam = np.linalg.eigvalsh(m)
+        live = p > measure.DEGENERATE_PROB
+        lam = np.clip(np.where(live[:, None], lam / np.maximum(p, 1e-300)[:, None], 0.0), 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(lam > 0.0, lam * np.log2(lam), 0.0)
+        vals += np.where(live, -p * terms.sum(axis=-1), 0.0)
+    return vals
+
+
+# numpy 2.4's einsum planner runs exactly the kernel's two matmuls, so there the two
+# kernels agree bit for bit; another numpy may plan the contraction differently, and
+# then only rounding-level agreement can be asked for.
+KERNEL_EXACT = np.__version__.startswith("2.4.")
+
+
+class TestKernelPort:
+    """`_batched_weak_ce` against the einsum kernel it replaced: equal with == on numpy 2.4."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.1, 2.0, INFINITY])
+    @pytest.mark.parametrize("dim_a", range(1, 9))
+    def test_matches_einsum(self, dim_a, x):
+        rng = np.random.default_rng(dim_a)
+        rho4 = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a)).as_tensor()
+        batches = []
+        for n_gamma, n_delta in ((3, 1), (5, 4), (16, 16)):
+            gg, dd = np.meshgrid(
+                np.linspace(0, math.pi, n_gamma),
+                np.linspace(0, 2 * math.pi, n_delta, endpoint=False),
+                indexing="ij",
+            )
+            batches.append((gg.ravel(), dd.ravel()))
+        points = [(0.0, 0.0), (math.pi, 0.0), (0.0, 1.3), (math.pi, 4.0)]
+        points += [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(8)]
+        batches += [(np.array([g]), np.array([d])) for g, d in points]
+        for gammas, deltas in batches:
+            got = discord._batched_weak_ce(rho4, x, gammas, deltas)
+            ref = einsum_weak_ce(rho4, x, gammas, deltas)
+            if KERNEL_EXACT:
+                assert np.array_equal(got, ref), (gammas, deltas)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
