@@ -69,11 +69,19 @@ def _basis_dict(b: QubitBasis) -> dict:
 def load_state_file(path: str) -> DensityMatrix:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise QuantumStateError(f"state file must hold a JSON object, got {type(data).__name__}")
     for key in ("dim_a", "dim_b", "re", "im"):
         if key not in data:
             raise QuantumStateError(f"state file missing key '{key}'")
-    m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    return qstate.validate(m, dim_a=int(data["dim_a"]), dim_b=int(data["dim_b"]))
+    for key in ("dim_a", "dim_b"):
+        if type(data[key]) is not int:  # bool is an int subclass, and no dimension
+            raise QuantumStateError(f"state file '{key}' must be an integer, got {data[key]!r}")
+    try:
+        m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise QuantumStateError(f"state file 're' and 'im' must be numeric: {exc}") from exc
+    return qstate.validate(m, dim_a=data["dim_a"], dim_b=data["dim_b"])
 
 
 def resolve_state(args) -> DensityMatrix:
@@ -192,6 +200,8 @@ def cmd_sweep(args) -> int:
         raise QuantumStateError("axis 'lambda0' requires --state pure")
     if args.steps < 1:
         raise DomainError(f"sweep needs --steps >= 1, got {args.steps}")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise DomainError(f"sweep needs finite --start and --stop, got {args.start}, {args.stop}")
     cfg = make_config(args)
     grid = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
     strong = None

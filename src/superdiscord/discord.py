@@ -3,12 +3,10 @@ the post-measurement resurrection check.
 
 The basis minimization is a two-phase scheme: exhaustive evaluation on a
 (gamma, delta) lattice, then Nelder-Mead refinement from the best lattice
-point. Lattice evaluation is vectorized over all grid points at once. The
-kernel contracts each outcome operator with the state as the two matmuls that
-numpy's einsum optimizer runs for the same contraction, so its values are the
-einsum's bit for bit without planning the contraction on every call (for the
-one-point calls of the refinement, that planning cost more than the
-arithmetic). The refinement is an in-package port of scipy's default
+point. Lattice evaluation is vectorized over all grid points at once. One
+kernel, `_batched_weak_ce`, gives every conditional entropy: the lattice, the
+refinement's objective and the public strong and weak scalars, bit for bit.
+The refinement is an in-package port of scipy's default
 Nelder-Mead that keeps its iterates bit for bit, so numpy is the only runtime
 dependency. Its constants are fixed, not options: angle tolerance 1e-8, value
 tolerance FLAT_TOL and at most MAX_REFINE_ITERS iterations, the settings every
@@ -65,49 +63,28 @@ def quantum_conditional_entropy(rho: DensityMatrix) -> float:
 
 def strong_conditional_entropy(rho: DensityMatrix, basis: QubitBasis) -> float:
     """Measured conditional entropy Σ p_i S(ρ^A_i) for projectors in `basis`."""
-    outcomes = measure.projective_outcomes(rho, basis)
-    return sum(
-        o.probability * qstate.von_neumann_entropy(o.conditional_state)
-        for o in outcomes
-        if not o.degenerate
-    )
+    return weak_conditional_entropy(rho, basis, INFINITY)
 
 
 def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) -> float:
     """p(x) S(ρ_{A|P(x)}) + p(-x) S(ρ_{A|P(-x)}) for the weak pair in `basis`."""
-    outcomes = measure.weak_outcomes(rho, measure.weak_pair(basis, x))
-    return sum(
-        o.probability * qstate.von_neumann_entropy(o.conditional_state)
-        for o in outcomes
-        if not o.degenerate
-    )
+    gammas, deltas = np.array([basis.gamma]), np.array([basis.delta])
+    return float(_batched_weak_ce(rho.as_tensor(), x, gammas, deltas)[0])
 
 
 def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Weak conditional entropy for a flat batch of (gamma, delta) bases.
 
-    The unnormalized conditional state of A is M_ij = Σ_abc P_ab ρ_ibjc P_ca for
-    each outcome operator P. It is computed as the two matmuls that
-    ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` runs: T = P·P,
-    then the (n, 4) rows T_bc against ρ laid out as (bc, ij). Those are the
-    same float operations in the same order, so every value equals the einsum's
-    bit for bit, without re-planning the contraction on each call. Each outcome
-    stays its own batch: matmul takes a different path for one row than for
-    several, so stacking P(x) and P(-x) would change values at odd dim_a.
+    Builds P(±x) = a(∓x) I + (a(±x) − a(∓x)) Pi_phi for `measure.conditional_blocks`.
     """
     ap, am = measure.weak_amplitudes(x)
-    n, dim_a = len(gammas), rho4.shape[0]
     kets = np.stack(
         [np.cos(gammas / 2), np.exp(1j * deltas) * np.sin(gammas / 2)], axis=-1
     )
     proj = kets[:, :, None] * kets.conj()[:, None, :]
-    eye = np.eye(2)
-    r = np.einsum("ibjc->bcij", rho4).reshape(4, dim_a * dim_a)
-    vals = np.zeros(n)
-    for c_phi, c_bar in ((ap, am), (am, ap)):
-        ops = c_bar * eye + (c_phi - c_bar) * proj
-        t = np.matmul(ops, ops).transpose(0, 2, 1).reshape(n, 4)
-        m = np.matmul(t, r).reshape(n, dim_a, dim_a)
+    ops = [c_bar * np.eye(2) + (c_phi - c_bar) * proj for c_phi, c_bar in ((ap, am), (am, ap))]
+    vals = np.zeros(len(gammas))
+    for m in measure.conditional_blocks(rho4, *ops):
         p = np.real(np.einsum("gii->g", m))
         lam = np.linalg.eigvalsh(m)
         live = p > measure.DEGENERATE_PROB
@@ -227,7 +204,7 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
     g_best, d_best, v_best = float(gg[idx]), float(dd[idx]), float(vals[idx])
 
     def objective(p):
-        return float(_batched_weak_ce(rho4, x, np.array([p[0]]), np.array([p[1]]))[0])
+        return weak_conditional_entropy(rho, QubitBasis(*p), x)
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
     if spread >= FLAT_TOL:

@@ -106,13 +106,28 @@ class MeasurementOutcome:
     degenerate: bool = False
 
 
-def _outcome(rho: DensityMatrix, op: np.ndarray) -> MeasurementOutcome:
-    t = rho.as_tensor()
-    m = np.einsum("ab,ibjc,ca->ij", op, t, op)
+def conditional_blocks(rho4: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """M_ij = Σ_abc P_ab ρ_ibjc P_ca, the unnormalized states of A, per (n, 2, 2) batch of P.
+
+    rho4 is ρ as indices (a, b, a', b'). These are, bit for bit, the two matmuls
+    ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` plans, without its
+    per-call planning: T = P·P, then the (n, 4) rows T_bc against ρ laid out once
+    as (bc, ij). Batches are never stacked: matmul takes another path for one row
+    than for several, so stacking would change values at odd dim_a.
+    """
+    dim_a = rho4.shape[0]
+    r = np.einsum("ibjc->bcij", rho4).reshape(4, dim_a * dim_a)
+    return tuple(
+        np.matmul(np.matmul(p, p).transpose(0, 2, 1).reshape(-1, 4), r).reshape(-1, dim_a, dim_a)
+        for p in ops
+    )
+
+
+def _outcome(m: np.ndarray) -> MeasurementOutcome:
     p = float(np.trace(m).real)
     if p < DEGENERATE_PROB:
         # zero-weight branch: placeholder state, unobservable under 0*log0 = 0
-        return MeasurementOutcome(np.eye(rho.dim_a) / rho.dim_a, 0.0, degenerate=True)
+        return MeasurementOutcome(np.eye(len(m)) / len(m), 0.0, degenerate=True)
     return MeasurementOutcome(m / p, p)
 
 
@@ -120,15 +135,16 @@ def weak_outcomes(
     rho: DensityMatrix, pair: WeakOperatorPair
 ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
     """Conditional states and probabilities for outcomes P(x), P(-x), in that order."""
-    return _outcome(rho, pair.op_plus), _outcome(rho, pair.op_minus)
+    plus, minus = conditional_blocks(rho.as_tensor(), pair.op_plus[None], pair.op_minus[None])
+    return _outcome(plus[0]), _outcome(minus[0])
 
 
 def projective_outcomes(
     rho: DensityMatrix, basis: QubitBasis
 ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
     """Conditional states and probabilities for Pi_phi, Pi_phibar, in that order."""
-    pi, pib = projectors(basis)
-    return _outcome(rho, pi), _outcome(rho, pib)
+    phi, bar = conditional_blocks(rho.as_tensor(), *(pi[None] for pi in projectors(basis)))
+    return _outcome(phi[0]), _outcome(bar[0])
 
 
 def project_state(rho: DensityMatrix, basis: QubitBasis) -> DensityMatrix:

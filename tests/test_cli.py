@@ -265,6 +265,36 @@ class TestErrorPaths:
         assert (rc, out) == (2, "")
         assert minimize_calls == []
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "3",
+            '{"dim_a": null, "dim_b": 2, "re": [], "im": []}',
+            '{"dim_a": 2, "dim_b": 2, "re": {"a": 1}, "im": []}',
+            *[json.dumps({"dim_a": dim, "dim_b": 2, "re": (np.eye(4) / 4).tolist(),
+                          "im": np.zeros((4, 4)).tolist()}) for dim in (2.7, True, "2")],
+        ],
+        ids=["not-an-object", "null-dim", "dict-entries", "float-dim", "bool-dim", "string-dim"],
+    )
+    def test_malformed_state_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        assert run(capsys, "report", "--state", f"file:{path}") == (2, "")
+
+    @pytest.mark.parametrize(
+        "axis, state, start, stop",
+        [("x", "random", "1", "inf"), ("x", "random", "nan", "1"),
+         ("z", "werner", "0", "inf"), ("lambda0", "pure", "0", "nan")],
+    )
+    def test_sweep_rejects_non_finite_endpoint(self, capsys, recwarn, minimize_calls, axis, state, start, stop):
+        rc = cli.main(["sweep", "--state", state, "--axis", axis, "--start", start, "--stop", stop,
+                       "--steps", "2", "--grid", "4"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert "--start and --stop" in captured.err
+        assert minimize_calls == []
+        assert [str(w.message) for w in recwarn] == []
+
     def test_refine_tol_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["report", "--state", "werner", "--refine-tol", "10"])

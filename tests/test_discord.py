@@ -350,3 +350,43 @@ class TestKernelPort:
                 assert np.array_equal(got, ref), (gammas, deltas)
             else:
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("x", [0.0, 0.1, 2.0, INFINITY])
+    @pytest.mark.parametrize("dim_a", range(1, 9))
+    def test_weak_scalar_is_the_kernel(self, dim_a, x):
+        rho = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a))
+        for g, d in kernel_points(dim_a):
+            want = discord._batched_weak_ce(rho.as_tensor(), x, np.array([g]), np.array([d]))[0]
+            assert sd.weak_conditional_entropy(rho, QubitBasis(g, d), x) == want, (g, d)
+
+    @pytest.mark.parametrize("dim_a", range(1, 9))
+    def test_strong_scalar_is_weak_at_infinity(self, dim_a):
+        rho = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a))
+        for g, d in kernel_points(dim_a):
+            b = QubitBasis(g, d)
+            strong = sd.strong_conditional_entropy(rho, b)
+            assert strong == sd.weak_conditional_entropy(rho, b, INFINITY), (g, d)
+            assert strong == discord._batched_weak_ce(rho.as_tensor(), INFINITY, np.array([g]), np.array([d]))[0]
+
+    @pytest.mark.parametrize("dim_a", range(1, 9))
+    def test_outcomes_match_einsum(self, dim_a):
+        rho = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a))
+        for g, d in kernel_points(dim_a):
+            b = QubitBasis(g, d)
+            cases = [(sd.projective_outcomes(rho, b), sd.projectors(b))]
+            for x in (0.0, 0.1, 2.0, INFINITY):
+                pair = sd.weak_pair(b, x)
+                cases.append((sd.weak_outcomes(rho, pair), (pair.op_plus, pair.op_minus)))
+            for outcomes, ops in cases:
+                for o, op in zip(outcomes, ops):
+                    m = np.einsum("ab,ibjc,ca->ij", op, rho.as_tensor(), op)
+                    p = np.trace(m).real
+                    assert o.probability == pytest.approx(p, rel=0, abs=1e-14)
+                    np.testing.assert_allclose(o.conditional_state, m / p, rtol=0, atol=1e-14)
+
+
+def kernel_points(seed):
+    """Poles, an equator point and random bases."""
+    rng = np.random.default_rng(100 + seed)
+    points = [(0.0, 0.0), (math.pi, 0.0), (math.pi / 2, 1.3)]
+    return points + [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(5)]
