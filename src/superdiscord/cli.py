@@ -109,14 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for --state random")
     common.add_argument("--x", default="0.5", help="measurement strength (float or 'inf')")
     common.add_argument("--grid", type=int, default=64, help="lattice points per angle, >= 3")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--out", default=None, help="write output to PATH instead of stdout")
 
     parser = argparse.ArgumentParser(prog="superdiscord")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("report", parents=[common], help="discord, super discord, and delta for one state")
+    rep = sub.add_parser("report", parents=[common], help="discord, super discord, and delta for one state")
+    rep.add_argument("--format", choices=["json", "csv"], default="json")
     res = sub.add_parser("resurrect", parents=[common], help="verify delta against the post-measured state")
-    res.add_argument("--gap-tol", type=float, default=1e-3)
+    res.add_argument("--gap-tol", type=float, default=1e-3, help="largest gap that exits 0, >= 0")
     swp = sub.add_parser("sweep", parents=[common], help="CSV sweep over x, z, or lambda0")
     swp.add_argument("--axis", choices=["x", "z", "lambda0"], required=True)
     swp.add_argument("--start", type=float, required=True)
@@ -176,6 +176,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_resurrect(args) -> int:
+    if not args.gap_tol >= 0:
+        raise DomainError(f"--gap-tol must be >= 0, got {args.gap_tol}")
     rho = resolve_state(args)
     x = float(args.x)
     rec = discord.verify_resurrection(rho, x, make_config(args))

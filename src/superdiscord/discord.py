@@ -75,16 +75,11 @@ def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) ->
 def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Weak conditional entropy for a flat batch of (gamma, delta) bases.
 
-    Builds P(±x) = a(∓x) I + (a(±x) − a(∓x)) Pi_phi for `measure.conditional_blocks`.
+    P(±x) come from `measure.weak_operators`, A's conditional states from
+    `measure.conditional_blocks`.
     """
-    ap, am = measure.weak_amplitudes(x)
-    kets = np.stack(
-        [np.cos(gammas / 2), np.exp(1j * deltas) * np.sin(gammas / 2)], axis=-1
-    )
-    proj = kets[:, :, None] * kets.conj()[:, None, :]
-    ops = [c_bar * np.eye(2) + (c_phi - c_bar) * proj for c_phi, c_bar in ((ap, am), (am, ap))]
     vals = np.zeros(len(gammas))
-    for m in measure.conditional_blocks(rho4, *ops):
+    for m in measure.conditional_blocks(rho4, *measure.weak_operators(x, gammas, deltas)):
         p = np.real(np.einsum("gii->g", m))
         lam = np.linalg.eigvalsh(m)
         live = p > measure.DEGENERATE_PROB
@@ -352,12 +347,8 @@ def _resurrection(
     report, strong, weak = _analysis(rho, x, cfg, strong)
     delta = weak.value - strong.value
     ambiguous = strong.grid_spread < FLAT_TOL
-    if not ambiguous:
-        proj_basis = strong.basis
-    elif weak.grid_spread >= FLAT_TOL:
-        proj_basis = weak.basis
-    else:
-        proj_basis = measure.COMPUTATIONAL
+    # both lattices flat: strong.basis is the first lattice point (0, 0), the computational basis
+    proj_basis = weak.basis if ambiguous and weak.grid_spread >= FLAT_TOL else strong.basis
     post = measure.project_state(rho, proj_basis)
     post_weak = _minimize(post, x, cfg)
     post_dw = post_weak.value - quantum_conditional_entropy(post)

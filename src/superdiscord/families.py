@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .errors import BadRank, DomainError
+from .errors import BadDimension, BadRank, DomainError
 from .qstate import DensityMatrix
 
 
@@ -46,6 +46,10 @@ def werner(z: float) -> DensityMatrix:
 
 def random_state(seed: int, dim_a: int = 2, rank: int = 4) -> DensityMatrix:
     """Ginibre-induced random state GG†/Tr(GG†), deterministic in the seed."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if dim_a < 1:
+        raise BadDimension(f"dim_a must be >= 1, got {dim_a}")
     d = 2 * dim_a
     if not 1 <= rank <= d:
         raise BadRank(f"rank must be in [1, {d}], got {rank}")

@@ -88,15 +88,24 @@ def weak_amplitudes(x: float) -> tuple[float, float]:
     return math.sqrt((1.0 - t) / 2.0), math.sqrt((1.0 + t) / 2.0)
 
 
-def weak_pair(basis: QubitBasis, x: float) -> WeakOperatorPair:
-    """Build P(x) = a(x) Pi_phi + a(-x) Pi_phibar and its partner P(-x).
+def weak_operators(x: float, gammas: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2, 2) batches P(x), P(-x) = a(±x) Pi_phi + a(∓x) Pi_phibar, one per (gamma, delta).
 
-    x = INFINITY yields the projective limit P(-x) = Pi_phi, P(x) = Pi_phibar
-    exactly; see `weak_amplitudes`.
+    Pi_phi = |phi><phi| with |phi> as in `QubitBasis.ket`, and P(±x) is built as
+    a(∓x) I + (a(±x) − a(∓x)) Pi_phi, so Pi_phibar = I − Pi_phi. `weak_amplitudes`
+    checks x; x = INFINITY gives the projective limit P(x) = I − Pi_phi, P(-x) = Pi_phi.
+    The kernel, `weak_pair` and the outcomes all take their operators from here.
     """
     ap, am = weak_amplitudes(x)
-    pi, pib = projectors(basis)
-    return WeakOperatorPair(basis, x, ap, am, ap * pi + am * pib, am * pi + ap * pib)
+    kets = np.stack([np.cos(gammas / 2), np.exp(1j * deltas) * np.sin(gammas / 2)], axis=-1)
+    proj = kets[:, :, None] * kets.conj()[:, None, :]
+    return tuple(c_bar * np.eye(2) + (c_phi - c_bar) * proj for c_phi, c_bar in ((ap, am), (am, ap)))
+
+
+def weak_pair(basis: QubitBasis, x: float) -> WeakOperatorPair:
+    """P(x) and P(-x) for one basis, from `weak_operators`."""
+    plus, minus = weak_operators(x, np.array([basis.gamma]), np.array([basis.delta]))
+    return WeakOperatorPair(basis, x, *weak_amplitudes(x), plus[0], minus[0])
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ def conditional_blocks(rho4: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, 
 
 def _outcome(m: np.ndarray) -> MeasurementOutcome:
     p = float(np.trace(m).real)
-    if p < DEGENERATE_PROB:
+    if p <= DEGENERATE_PROB:
         # zero-weight branch: placeholder state, unobservable under 0*log0 = 0
         return MeasurementOutcome(np.eye(len(m)) / len(m), 0.0, degenerate=True)
     return MeasurementOutcome(m / p, p)
@@ -142,9 +151,8 @@ def weak_outcomes(
 def projective_outcomes(
     rho: DensityMatrix, basis: QubitBasis
 ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
-    """Conditional states and probabilities for Pi_phi, Pi_phibar, in that order."""
-    phi, bar = conditional_blocks(rho.as_tensor(), *(pi[None] for pi in projectors(basis)))
-    return _outcome(phi[0]), _outcome(bar[0])
+    """Conditional states and probabilities for Pi_phi, Pi_phibar: the x = INFINITY weak outcomes, reversed."""
+    return weak_outcomes(rho, weak_pair(basis, INFINITY))[::-1]
 
 
 def project_state(rho: DensityMatrix, basis: QubitBasis) -> DensityMatrix:

@@ -295,6 +295,37 @@ class TestErrorPaths:
         assert minimize_calls == []
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["resurrect", "--state", "werner", "--z", "0.6", "--x", "0.5", "--format", "csv"],
+         ["sweep", "--state", "werner", "--axis", "z", "--start", "0.1", "--stop", "0.9",
+          "--steps", "2", "--format", "json"]],
+        ids=["resurrect", "sweep"],
+    )
+    def test_format_is_a_report_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_resurrect_rejects_bad_gap_tol(self, capsys, minimize_calls, tol):
+        rc = cli.main(["resurrect", "--state", "werner", "--z", "0.6", "--x", "0.5", "--gap-tol", tol])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert "--gap-tol" in captured.err
+        assert minimize_calls == []
+
+    def test_resurrect_accepts_infinite_gap_tol(self, capsys):
+        rc, out = run(capsys, "resurrect", "--state", "werner", "--z", "0.6", "--x", "0.5", "--gap-tol", "inf")
+        assert rc == 0 and json.loads(out)["coincidence"] is True
+
+    def test_negative_seed_rejected(self, capsys):
+        rc = cli.main(["report", "--state", "random", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert "seed" in captured.err
+
     def test_refine_tol_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["report", "--state", "werner", "--refine-tol", "10"])

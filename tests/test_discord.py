@@ -62,6 +62,7 @@ class TestMinimizer:
 
         res = _minimize(sd.werner(0.6), 0.5, OptimizerConfig())
         assert res.grid_spread <= 1e-9
+        assert res.basis == COMPUTATIONAL  # a flat lattice keeps its first point
 
     @pytest.mark.parametrize("grid", [(1, 64), (2, 64), (64, 0)])
     def test_config_rejects_lattice_without_off_pole_points(self, grid):
@@ -144,6 +145,37 @@ class TestDiscordMeasures:
     def test_bell_extra_correlation_closed_form(self, x):
         delta = sd.extra_correlation(sd.bell(), x)
         assert delta == pytest.approx(binary_entropy((1 + math.tanh(x)) / 2), abs=1e-8)
+
+
+PAULIS = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+# correlation vectors c of the four Bell states; a Bell-diagonal state's c is their convex mixture
+BELL_CORRELATIONS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+
+
+class TestBellDiagonal:
+    """ρ = (I + Σ c_i σ_i⊗σ_i)/4 with c = max|c_i| (Luo, PRA 77, 042303 (2008)):
+    D_s = h2((1+c)/2) + 1 − S(AB) and D_w = h2((1+c·tanh x)/2) + 1 − S(AB).
+
+    Unlike the pure and Werner families, the strong landscape is not flat: its
+    minimum sits on the axis of the largest |c_i|, where the weak one sits too,
+    so the resurrection gap is zero.
+    """
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_closed_form(self, seed, x):
+        c = np.random.default_rng(seed).dirichlet(np.ones(4)) @ BELL_CORRELATIONS
+        m = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULIS))) / 4
+        rho = sd.validate(m, dim_a=2)
+        c_max = np.abs(c).max()
+        s_ab = sd.von_neumann_entropy(rho.entries)
+        rec = sd.verify_resurrection(rho, x, FAST_CFG)
+        assert rec.report.discord == pytest.approx(binary_entropy((1 + c_max) / 2) + 1 - s_ab, abs=1e-12)
+        assert rec.report.super_discord == pytest.approx(
+            binary_entropy((1 + c_max * math.tanh(x)) / 2) + 1 - s_ab, abs=1e-12
+        )
+        assert not rec.ambiguous_minimizer
+        assert rec.gap <= 1e-12
 
 
 class TestAnalyze:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
-from superdiscord.errors import BadRank, DomainError
+from superdiscord.errors import BadDimension, BadRank, DomainError
 from superdiscord.families import binary_entropy
 from superdiscord.measure import COMPUTATIONAL, QubitBasis
 
@@ -53,6 +53,15 @@ class TestConstructors:
     def test_random_bad_rank(self):
         with pytest.raises(BadRank):
             sd.random_state(0, dim_a=2, rank=5)
+
+    def test_random_negative_seed(self):
+        with pytest.raises(DomainError, match="seed"):
+            sd.random_state(-1)
+
+    @pytest.mark.parametrize("dim_a", [0, -2])
+    def test_random_bad_dimension(self, dim_a):
+        with pytest.raises(BadDimension, match="dim_a"):
+            sd.random_state(1, dim_a=dim_a)
 
 
 class TestPureDeltaOracle:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
+from superdiscord import measure
 from superdiscord.errors import NegativeStrength
 from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis, basis_from_ket, same_basis
 
@@ -79,6 +80,16 @@ class TestWeakPair:
     def test_nan_strength_rejected_by_weak_conditional_entropy(self):
         with pytest.raises(NegativeStrength):
             sd.weak_conditional_entropy(sd.werner(0.6), COMPUTATIONAL, math.nan)
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 2.0, INFINITY])
+    def test_pair_is_a_row_of_the_kernel_batch(self, x, rng):
+        # weak_pair is one row of the batch the minimizer's kernel contracts
+        gammas = np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 6)])
+        deltas = np.concatenate([[0.0, 1.0], rng.uniform(0, 2 * math.pi, 6)])
+        plus, minus = measure.weak_operators(x, gammas, deltas)
+        for i, (g, d) in enumerate(zip(gammas, deltas)):
+            pair = sd.weak_pair(QubitBasis(g, d), x)
+            assert (pair.op_plus == plus[i]).all() and (pair.op_minus == minus[i]).all()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_completeness_and_commutation(self, seed):
@@ -157,6 +168,11 @@ class TestOutcomes:
         assert o2.degenerate and o2.probability == 0.0
         # placeholder is still a valid state
         assert abs(np.trace(o2.conditional_state) - 1) < 1e-12
+
+    def test_degenerate_threshold_matches_kernel(self):
+        # the kernel counts p <= DEGENERATE_PROB as a zero-weight branch, and so do the outcomes
+        for p, degenerate in ((measure.DEGENERATE_PROB, True), (2 * measure.DEGENERATE_PROB, False)):
+            assert measure._outcome(np.diag([p, 0.0])).degenerate is degenerate
 
     @pytest.mark.parametrize("seed", range(10))
     def test_probabilities_sum_to_one(self, seed):
