@@ -45,6 +45,8 @@ def commands(state_path: str) -> list[list[str]]:
     cmds.append(["report", "--state", "random", "--seed", "1", "--x", "0.5", "--format", "csv"])
     cmds.append(["sweep", "--state", "random", "--seed", "1", "--axis", "x",
                  "--start", "0", "--stop", "2", "--steps", "5"])
+    cmds.append(["sweep", "--state", f"file:{state_path}", "--grid", "16", "--axis", "x",
+                 "--start", "0.5", "--stop", "2", "--steps", "3"])
     cmds.append(["sweep", "--state", "werner", "--axis", "z", "--start", "0.1", "--stop", "0.9",
                  "--steps", "5", "--x", "0.5"])
     cmds.append(["sweep", "--state", "pure", "--axis", "lambda0", "--start", "0", "--stop", "1",

@@ -16,7 +16,7 @@ import numpy as np
 from . import discord, families, measure, qstate
 from .discord import OptimizerConfig
 from .errors import DomainError, NoConvergence, QuantumStateError
-from .measure import INFINITY, QubitBasis
+from .measure import QubitBasis
 from .qstate import DensityMatrix
 
 EXIT_OK = 0
@@ -84,6 +84,22 @@ def load_state_file(path: str) -> DensityMatrix:
     return qstate.validate(m, dim_a=data["dim_a"], dim_b=data["dim_b"])
 
 
+# each family option, the --state it belongs to, and its default there
+FAMILY_OPTIONS = (("lambda0", "pure", 0.5), ("z", "werner", 0.5), ("seed", "random", 0))
+
+
+def check_options(args) -> None:
+    """Parse --x, and give each family option its default or reject it for another --state."""
+    args.x = float(args.x)
+    for name, family, default in FAMILY_OPTIONS:
+        value = getattr(args, name)
+        if value is None:
+            if args.state == family:
+                setattr(args, name, default)
+        elif args.state != family:
+            raise QuantumStateError(f"--{name} applies to --state {family} only, got --state {args.state}")
+
+
 def resolve_state(args) -> DensityMatrix:
     spec = args.state
     if spec.startswith("file:"):
@@ -104,9 +120,9 @@ def make_config(args) -> OptimizerConfig:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--state", default="pure", help="pure | werner | random | file:PATH")
-    common.add_argument("--lambda0", type=float, default=0.5, help="Schmidt weight for --state pure")
-    common.add_argument("--z", type=float, default=0.5, help="singlet weight for --state werner")
-    common.add_argument("--seed", type=int, default=0, help="seed for --state random")
+    common.add_argument("--lambda0", type=float, default=None, help="Schmidt weight for --state pure (0.5)")
+    common.add_argument("--z", type=float, default=None, help="singlet weight for --state werner (0.5)")
+    common.add_argument("--seed", type=int, default=None, help="seed for --state random (0)")
     common.add_argument("--x", default="0.5", help="measurement strength (float or 'inf')")
     common.add_argument("--grid", type=int, default=64, help="lattice points per angle, >= 3")
     common.add_argument("--out", default=None, help="write output to PATH instead of stdout")
@@ -137,8 +153,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_report(args) -> int:
     rho = resolve_state(args)
-    x = float(args.x)
-    rep = discord.analyze(rho, x, make_config(args))
+    rep = discord.analyze(rho, args.x, make_config(args))
     if args.format == "json":
         payload = {
             "conditional_entropy_qq": rep.conditional_entropy_qq,
@@ -179,8 +194,7 @@ def cmd_resurrect(args) -> int:
     if not args.gap_tol >= 0:
         raise DomainError(f"--gap-tol must be >= 0, got {args.gap_tol}")
     rho = resolve_state(args)
-    x = float(args.x)
-    rec = discord.verify_resurrection(rho, x, make_config(args))
+    rec = discord.verify_resurrection(rho, args.x, make_config(args))
     payload = {
         "delta": rec.delta,
         "post_super_discord": rec.post_super_discord,
@@ -189,7 +203,7 @@ def cmd_resurrect(args) -> int:
         "post_weak_basis": _basis_dict(rec.post_weak_basis),
         "ambiguous_minimizer": rec.ambiguous_minimizer,
         "coincidence": rec.coincidence,
-        "strength": x,
+        "strength": args.x,
     }
     _emit(dumps(payload), args.out)
     return EXIT_OK if rec.gap <= args.gap_tol else EXIT_GAP
@@ -206,17 +220,15 @@ def cmd_sweep(args) -> int:
         raise DomainError(f"sweep needs finite --start and --stop, got {args.start}, {args.stop}")
     cfg = make_config(args)
     grid = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
-    strong = None
     if args.axis == "x":
-        # the state is fixed along x, so its strong minimum is found once, after
-        # every strength has passed the strength rule
+        # every strength passes the strength rule before any minimization; the
+        # rows share one state object, so its strong minimum is found once
         for value in grid:
             measure.weak_amplitudes(value)
         rho = resolve_state(args)
-        strong = discord._minimize(rho, INFINITY, cfg)
     lines = [",".join(SWEEP_COLUMNS)]
     for value in grid:
-        x = value if args.axis == "x" else float(args.x)
+        x = value if args.axis == "x" else args.x
         if args.axis == "z":
             rho = families.werner(value)
         elif args.axis == "lambda0":
@@ -224,10 +236,10 @@ def cmd_sweep(args) -> int:
         s_ab = qstate.von_neumann_entropy(rho.entries)
         s_b = qstate.von_neumann_entropy(qstate.partial_trace_a(rho))
         if math.isfinite(x) and x > 0:
-            rec = discord._resurrection(rho, x, cfg, strong)
+            rec = discord.verify_resurrection(rho, x, cfg)
             rep, dw_post, gap = rec.report, rec.post_super_discord, rec.gap
         else:
-            rep, dw_post, gap = discord._analysis(rho, x, cfg, strong)[0], math.nan, math.nan
+            rep, dw_post, gap = discord.analyze(rho, x, cfg), math.nan, math.nan
         row = (
             value,
             s_ab,
@@ -251,6 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"report": cmd_report, "resurrect": cmd_resurrect, "sweep": cmd_sweep}
     try:
+        check_options(args)
         return handlers[args.command](args)
     except (QuantumStateError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,10 @@ class OptimizerConfig:
     grid_delta: int = 64
 
     def __post_init__(self):
+        for name in ("grid_gamma", "grid_delta"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a float or bool size would reach numpy
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.grid_gamma < 3 or self.grid_delta < 1:
             raise DomainError(
                 f"lattice needs grid_gamma >= 3 and grid_delta >= 1, "
@@ -220,11 +224,18 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
     return MinimizationResult(basis, v_best, spread)
 
 
+def _minimum(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> MinimizationResult:
+    """`_minimize(rho, x, cfg)`, run once per state object and kept on it."""
+    if (x, cfg) not in rho._minima:
+        rho._minima[x, cfg] = _minimize(rho, x, cfg)
+    return rho._minima[x, cfg]
+
+
 def minimize_conditional_entropy(
     rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> tuple[QubitBasis, float]:
     """Basis minimizing the weak (or, at x = INFINITY, strong) conditional entropy."""
-    res = _minimize(rho, x, cfg)
+    res = _minimum(rho, x, cfg)
     return res.basis, res.value
 
 
@@ -239,7 +250,7 @@ def super_discord(
     rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> tuple[float, QubitBasis]:
     """D_w = min_basis S_w(A|{P(x)}) - S(A|B)."""
-    res = _minimize(rho, x, cfg)
+    res = _minimum(rho, x, cfg)
     return res.value - quantum_conditional_entropy(rho), res.basis
 
 
@@ -262,23 +273,17 @@ class DiscordReport:
     strength: float
 
 
-def _analysis(
-    rho: DensityMatrix, x: float, cfg: OptimizerConfig, strong: MinimizationResult | None = None
-) -> tuple[DiscordReport, MinimizationResult, MinimizationResult]:
-    """The report of `analyze` with the strong and weak minima it was built from.
-
-    `strong`, when given, is rho's strong minimum at cfg, reused instead of
-    recomputed (an x-sweep holds the state fixed). At x = INFINITY the weak
-    minimum is the strong one.
-    """
+def analyze(
+    rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
+) -> DiscordReport:
+    """All correlation measures of one state at one strength, bundled."""
     measure.weak_amplitudes(x)  # reject a bad strength before any minimization
     cond_qq = quantum_conditional_entropy(rho)
-    if strong is None:
-        strong = _minimize(rho, INFINITY, cfg)
-    weak = strong if x == INFINITY else _minimize(rho, x, cfg)
+    strong = _minimum(rho, INFINITY, cfg)
+    weak = _minimum(rho, x, cfg)
     ds = strong.value - cond_qq
     dw = weak.value - cond_qq
-    report = DiscordReport(
+    return DiscordReport(
         conditional_entropy_qq=cond_qq,
         mutual_info=qstate.mutual_information(rho),
         discord=ds,
@@ -288,14 +293,6 @@ def _analysis(
         weak_basis=weak.basis,
         strength=x,
     )
-    return report, strong, weak
-
-
-def analyze(
-    rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
-) -> DiscordReport:
-    """All correlation measures of one state at one strength, bundled."""
-    return _analysis(rho, x, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -333,18 +330,13 @@ def verify_resurrection(
     limit the flat landscape leaves undetermined), and to the computational
     basis when that landscape is flat as well (e.g. Werner states).
 
-    `report` is `analyze(rho, x, cfg)`; the check adds one minimization to its two.
+    `report` is `analyze(rho, x, cfg)`; after `analyze` on the same state
+    object the check adds one minimization, the measured state's.
     """
-    return _resurrection(rho, x, cfg)
-
-
-def _resurrection(
-    rho: DensityMatrix, x: float, cfg: OptimizerConfig, strong: MinimizationResult | None = None
-) -> ResurrectionRecord:
-    """`verify_resurrection`, reusing `strong` as `_analysis` does."""
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"resurrection check needs finite x > 0, got {x}")
-    report, strong, weak = _analysis(rho, x, cfg, strong)
+    report = analyze(rho, x, cfg)
+    strong, weak = _minimum(rho, INFINITY, cfg), _minimum(rho, x, cfg)  # kept by analyze
     delta = weak.value - strong.value
     ambiguous = strong.grid_spread < FLAT_TOL
     # both lattices flat: strong.basis is the first lattice point (0, 0), the computational basis

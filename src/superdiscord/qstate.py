@@ -6,7 +6,7 @@ all entropies are in bits (log base 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,11 +19,16 @@ EIG_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated trace-one positive-semidefinite Hermitian matrix on A ⊗ B."""
+    """Validated trace-one positive-semidefinite Hermitian matrix on A ⊗ B.
+
+    The entries are read-only, so each basis minimum `discord` finds for this
+    object stays valid and is kept on it; an equal state in another object finds its own.
+    """
 
     dim_a: int
     dim_b: int
     entries: np.ndarray
+    _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -59,6 +64,7 @@ def validate(m, dim_a: int, dim_b: int = 2) -> DensityMatrix:
     lo = float(np.linalg.eigvalsh(m).min())
     if lo < -EIG_TOL:
         raise NotPositive(f"smallest eigenvalue {lo:.3e} below -{EIG_TOL:.0e}")
+    m.flags.writeable = False  # m is a new array, never the caller's
     return DensityMatrix(dim_a, dim_b, m)
 
 

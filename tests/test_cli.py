@@ -12,6 +12,7 @@ from superdiscord import cli
 from superdiscord.discord import OptimizerConfig
 from superdiscord.errors import NoConvergence
 from superdiscord.families import binary_entropy
+from superdiscord.measure import INFINITY
 
 
 def run(capsys, *argv):
@@ -214,6 +215,14 @@ class TestSweep:
         assert rc == 0
         assert len(minimize_calls) == 1 + 2 * 4  # one strong minimum shared by the rows
 
+    def test_x_sweep_rows_share_the_file_state_minima(self, capsys, tmp_path, minimize_calls):
+        path = state_file(tmp_path / "a3.json", sd.random_state(6, dim_a=3, rank=6).entries, dim_a=3)
+        rc, _ = run(capsys, "sweep", "--state", f"file:{path}", "--grid", "8", "--axis", "x",
+                    "--start", "0.5", "--stop", "2", "--steps", "3")
+        assert rc == 0
+        # the first row finds the strong minimum, each row its weak and post-state ones
+        assert minimize_calls == [INFINITY, 0.5, 0.5, 1.25, 1.25, 2.0, 2.0]
+
     def test_axis_family_mismatch(self, capsys):
         rc, _ = run(capsys, "sweep", "--state", "pure", "--axis", "z",
                     "--start", "0", "--stop", "1", "--steps", "2")
@@ -325,6 +334,36 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert (rc, captured.out) == (2, "")
         assert "seed" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--state", "werner", "--axis", "x", "--start", "0.5", "--stop", "0.5",
+             "--steps", "1", "--grid", "4", "--x", "abc"],
+            ["report", "--state", "pure", "--z", "0.3"],
+            ["report", "--state", "pure", "--seed", "9"],
+            ["resurrect", "--state", "werner", "--lambda0", "0.2"],
+            ["report", "--state", "file:BELL", "--seed", "1"],
+            ["sweep", "--state", "random", "--seed", "2", "--axis", "x", "--start", "0.5",
+             "--stop", "1", "--steps", "2", "--grid", "4", "--z", "0.9"],
+            ["sweep", "--state", "werner", "--axis", "z", "--start", "0.1", "--stop", "0.9",
+             "--steps", "2", "--grid", "4", "--lambda0", "0.3"],
+        ],
+        ids=["x-sweep-bad-x", "pure-z", "pure-seed", "werner-lambda0", "file-seed", "random-z",
+             "z-sweep-lambda0"],
+    )
+    def test_option_parsed_and_checked_before_any_state(self, capsys, tmp_path, minimize_calls, argv):
+        rc = cli.main([arg.replace("BELL", bell_file(tmp_path)) for arg in argv])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+        assert minimize_calls == []
+
+    def test_family_option_defaults(self, capsys):
+        for family, option in (("pure", ["--lambda0", "0.5"]), ("werner", ["--z", "0.5"]),
+                               ("random", ["--seed", "0"])):
+            argv = ["report", "--state", family, "--grid", "8"]
+            assert run(capsys, *argv) == run(capsys, *argv, *option), family
 
     def test_refine_tol_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

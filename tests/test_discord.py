@@ -69,6 +69,11 @@ class TestMinimizer:
         with pytest.raises(DomainError):
             OptimizerConfig(grid_gamma=grid[0], grid_delta=grid[1])
 
+    @pytest.mark.parametrize("grid", [(16.0, 16), (16.5, 16), (True, 16), (16, 16.0), (16, "16")])
+    def test_config_rejects_non_int_sizes(self, grid):
+        with pytest.raises(DomainError):
+            OptimizerConfig(grid_gamma=grid[0], grid_delta=grid[1])
+
     @pytest.mark.parametrize("x", [-1.0, math.nan])
     def test_rejects_negative_and_nan_strength(self, x, minimize_calls):
         with pytest.raises(NegativeStrength):
@@ -260,6 +265,55 @@ class TestMinimizationCount:
     def test_extra_correlation_at_infinity(self, minimize_calls):
         sd.extra_correlation(sd.random_state(2), INFINITY, FAST_CFG)
         assert minimize_calls == [INFINITY]
+
+    # a state object keeps every minimum found for it, keyed by (x, cfg)
+    def test_verify_resurrection_after_analyze(self, minimize_calls):
+        rho = sd.random_state(2)
+        rep = sd.analyze(rho, 0.5, FAST_CFG)
+        assert sd.verify_resurrection(rho, 0.5, FAST_CFG).report == rep
+        assert minimize_calls == [INFINITY, 0.5, 0.5]
+
+    def test_discords_after_analyze(self, minimize_calls):
+        rho = sd.random_state(2)
+        rep = sd.analyze(rho, 0.5, FAST_CFG)
+        assert sd.normal_discord(rho, FAST_CFG) == (rep.discord, rep.strong_basis)
+        assert sd.super_discord(rho, INFINITY, FAST_CFG) == (rep.discord, rep.strong_basis)
+        assert sd.super_discord(rho, 0.5, FAST_CFG) == (rep.super_discord, rep.weak_basis)
+        assert minimize_calls == [INFINITY, 0.5]
+
+    def test_new_object_and_new_config_recompute(self, minimize_calls):
+        rho = sd.random_state(2)
+        sd.minimize_conditional_entropy(rho, 0.5, FAST_CFG)
+        sd.minimize_conditional_entropy(sd.validate(rho.entries, dim_a=2), 0.5, FAST_CFG)
+        sd.minimize_conditional_entropy(rho, 0.5, OptimizerConfig(16, 16))
+        sd.minimize_conditional_entropy(rho, 0.5, OptimizerConfig(32, 32))
+        assert minimize_calls == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, INFINITY])
+    def test_kept_minimum_equals_fresh(self, x):
+        rho = sd.random_state(4, dim_a=3, rank=6)
+        kept = sd.minimize_conditional_entropy(rho, x, FAST_CFG)
+        assert sd.minimize_conditional_entropy(rho, x, FAST_CFG) == kept
+        assert rho._minima[x, FAST_CFG] == discord._minimize(rho, x, FAST_CFG)
+        assert (rho._minima[x, FAST_CFG].basis, rho._minima[x, FAST_CFG].value) == kept
+
+    def test_failure_is_not_kept(self, minimize_calls, monkeypatch):
+        counting = discord._minimize
+
+        def fail_once(rho, x, cfg):
+            monkeypatch.setattr(discord, "_minimize", counting)
+            raise NoConvergence("stuck", best_value=0.5)
+
+        monkeypatch.setattr(discord, "_minimize", fail_once)
+        rho = sd.random_state(2)
+        with pytest.raises(NoConvergence):
+            sd.super_discord(rho, 0.5, FAST_CFG)
+        with pytest.raises(NegativeStrength):
+            sd.super_discord(rho, -1.0, FAST_CFG)
+        assert rho._minima == {}
+        sd.super_discord(rho, 0.5, FAST_CFG)
+        sd.super_discord(rho, 0.5, FAST_CFG)
+        assert minimize_calls == [-1.0, 0.5]
 
 
 class TestEnsembleProperties:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import superdiscord as sd
 from superdiscord.errors import BadDimension, NotFinite, NotHermitian, NotPositive, TraceNotOne
-from superdiscord.qstate import spectrum
+from superdiscord.qstate import DensityMatrix, spectrum
 
 from conftest import random_unitary
 
@@ -59,6 +60,25 @@ class TestValidate:
             sd.validate(np.eye(4) / 4, dim_a=2, dim_b=3)
         with pytest.raises(BadDimension):
             sd.validate(np.eye(6) / 6, dim_a=2)
+
+    def test_entries_read_only_and_input_untouched(self):
+        m = np.eye(4, dtype=complex) / 4  # complex already, so asarray passes m itself through
+        rho = sd.validate(m, dim_a=2)
+        with pytest.raises(ValueError):
+            rho.entries[0, 0] = 0
+        with pytest.raises(ValueError):
+            rho.as_tensor()[0, 0, 0, 0] = 0
+        assert m.flags.writeable
+        m[0, 0] = 0  # the caller's array stays theirs to change
+        assert rho.entries[0, 0] == 0.25
+
+    def test_minima_are_not_a_field_callers_set(self):
+        rho = sd.validate(np.eye(4) / 4, dim_a=2)
+        assert rho._minima == {} and "_minima" not in repr(rho)
+        with pytest.raises(TypeError):
+            DensityMatrix(2, 2, rho.entries, {})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho._minima = {}
 
 
 class TestTensor:
