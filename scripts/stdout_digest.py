@@ -43,6 +43,10 @@ def commands(state_path: str) -> list[list[str]]:
     ]
     cmds = [[cmd, *state, "--x", x] for state in states for cmd in ("report", "resurrect") for x in STRENGTHS]
     cmds.append(["report", "--state", "random", "--seed", "1", "--x", "0.5", "--format", "csv"])
+    # an odd lattice width is scanned in full; an even one by hemisphere, here with pole ties
+    cmds.append(["report", "--state", "random", "--seed", "3", "--x", "0.5", "--grid", "7"])
+    cmds.append(["resurrect", "--state", "werner", "--z", "0.6", "--x", "0.5", "--grid", "6"])
+    cmds.append(["resurrect", "--state", "pure", "--lambda0", "0.2", "--x", "2", "--grid", "6"])
     cmds.append(["sweep", "--state", "random", "--seed", "1", "--axis", "x",
                  "--start", "0", "--stop", "2", "--steps", "5"])
     cmds.append(["sweep", "--state", f"file:{state_path}", "--grid", "16", "--axis", "x",

@@ -3,7 +3,9 @@ the post-measurement resurrection check.
 
 The basis minimization is a two-phase scheme: exhaustive evaluation on a
 (gamma, delta) lattice, then Nelder-Mead refinement from the best lattice
-point. Lattice evaluation is vectorized over all grid points at once. One
+point. Lattice evaluation is vectorized over the grid points, and scans each
+measurement once: n and -n are one measurement with its outcomes swapped, so
+an even grid_delta evaluates one hemisphere (see `_lattice_values`). One
 kernel, `_batched_weak_ce`, gives every conditional entropy: the lattice, the
 refinement's objective and the public strong and weak scalars, bit for bit.
 The refinement is an in-package port of scipy's default
@@ -33,6 +35,10 @@ class OptimizerConfig:
 
     grid_gamma points span gamma in [0, pi], poles included, so at least 3 are
     needed for a point off the poles; grid_delta points span delta in [0, 2 pi).
+    An even grid_delta puts every point's antipode on the lattice, so only the
+    upper hemisphere is evaluated, plus the lower points that could tie its
+    min or max; an odd one is scanned in full. The lattice min, max and ties
+    are the full scan's either way.
     """
 
     grid_gamma: int = 64
@@ -95,12 +101,43 @@ def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.
     return vals
 
 
+def _lattice_values(
+    rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig
+) -> np.ndarray:
+    """`_batched_weak_ce` on the row-major lattice, evaluated once per measurement.
+
+    The measurement along -n is the one along n with its outcomes swapped, so
+    both have one value. For even grid_delta the antipode of row k, column j is
+    row G-1-k, column j + D/2 (mod D), and the rows k < ceil(G/2) hold an
+    antipode of every lower point. Those rows are evaluated; a lower point only
+    when its antipode lies within FLAT_TOL of their min or max. Every other
+    lower point gets its antipode's value, strictly inside (min, max), so the
+    min, max, argmin and first FLAT_TOL tie equal the full scan's with ==.
+    Odd grid_delta has no antipodes on the lattice and is scanned in full.
+    """
+    n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
+    if n_delta % 2:
+        return _batched_weak_ce(rho4, x, gg, dd)
+    n_top = (n_gamma + 1) // 2 * n_delta
+    vals = _batched_weak_ce(rho4, x, gg[:n_top], dd[:n_top])
+    row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
+    lower = vals[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]
+    need = (lower <= vals.min() + FLAT_TOL) | (lower >= vals.max() - FLAT_TOL)
+    if np.count_nonzero(need) == 1:
+        need[:2] = True  # matmul takes another path for one row, off by an ulp at odd dim_a
+    pick = n_top + np.flatnonzero(need)
+    if len(pick):
+        lower[need] = _batched_weak_ce(rho4, x, gg[pick], dd[pick])
+    return np.concatenate([vals, lower])
+
+
 @dataclass(frozen=True)
 class _NMResult:
     x: tuple[float, float]
     fun: float
     nfev: int
     success: bool
+    flat: bool  # the final simplex values lie within FLAT_TOL of the best, scipy's fatol test
 
 
 def _nm_minimize(fun, x0) -> _NMResult:
@@ -119,7 +156,9 @@ def _nm_minimize(fun, x0) -> _NMResult:
     That maxfev never binds, so it is not checked: the simplex costs 3
     evaluations and each iteration at most 4 (reflect, contract, two shrink
     points), so nfev <= 3 + 4 * (maxiter - 1) < 4 * maxiter. Success means the
-    tolerances were met within maxiter iterations.
+    tolerances were met within maxiter iterations; ``flat`` that the value
+    tolerance alone holds at the end, as on a pole, where delta is degenerate
+    and the vertices never meet xatol in it.
     """
     nfev = 0
 
@@ -130,6 +169,9 @@ def _nm_minimize(fun, x0) -> _NMResult:
 
     def lin(a, p, b, q):
         return (a * p[0] + b * q[0], a * p[1] + b * q[1])
+
+    def flat():
+        return all(abs(fsim[0] - fj) <= FLAT_TOL for fj in fsim[1:])
 
     def sort():
         order = sorted(range(3), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
@@ -145,9 +187,7 @@ def _nm_minimize(fun, x0) -> _NMResult:
     it = 1
     while it < MAX_REFINE_ITERS:
         s0, s2 = sim[0], sim[2]
-        if all(abs(v[i] - s0[i]) <= 1e-8 for v in sim[1:] for i in (0, 1)) and all(
-            abs(fsim[0] - fj) <= FLAT_TOL for fj in fsim[1:]
-        ):
+        if all(abs(v[i] - s0[i]) <= 1e-8 for v in sim[1:] for i in (0, 1)) and flat():
             break
         xbar = ((s0[0] + sim[1][0]) / 2, (s0[1] + sim[1][1]) / 2)
         xr = lin(2, xbar, -1, s2)  # reflect
@@ -179,7 +219,7 @@ def _nm_minimize(fun, x0) -> _NMResult:
                 fsim[j] = f(sim[j])
         it += 1
         sort()
-    return _NMResult(sim[0], fsim[0], nfev, it < MAX_REFINE_ITERS)
+    return _NMResult(sim[0], fsim[0], nfev, it < MAX_REFINE_ITERS, flat())
 
 
 @dataclass(frozen=True)
@@ -195,7 +235,7 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
     deltas = np.linspace(0.0, 2 * math.pi, cfg.grid_delta, endpoint=False)
     gg, dd = np.meshgrid(gammas, deltas, indexing="ij")
     gg, dd = gg.ravel(), dd.ravel()
-    vals = _batched_weak_ce(rho4, x, gg, dd)
+    vals = _lattice_values(rho4, x, gg, dd, cfg)
     vmin = float(vals.min())
     spread = float(vals.max()) - vmin
     # ties broken toward smallest gamma, then delta (row-major, gamma outer)
@@ -208,7 +248,7 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
     if spread >= FLAT_TOL:
         res = _nm_minimize(objective, (gg[idx], dd[idx]))
-        if not res.success:
+        if not (res.success or res.flat):
             raise NoConvergence(
                 f"basis refinement stopped before reaching tol {FLAT_TOL:g} "
                 f"(best value {min(res.fun, vmin):.9g})",

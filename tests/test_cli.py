@@ -229,6 +229,39 @@ class TestSweep:
         assert rc == 2
 
 
+class TestClassicallyCorrelatedState:
+    """diag(0.2, 0, 0, 0.8) has D_s = 0, with its strong minimum on a pole."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return state_file(tmp_path / "classical.json", np.diag([0.2, 0.0, 0.0, 0.8]))
+
+    @pytest.mark.parametrize("x, dw", [("0.5", 0.618059342414), ("inf", 0.0)])
+    def test_report(self, capsys, path, x, dw):
+        rc, out = run(capsys, "report", "--state", f"file:{path}", "--x", x)
+        assert rc == 0
+        data = json.loads(out)
+        assert data["discord"] == 0 and data["mutual_info"] == pytest.approx(binary_entropy(0.2))
+        assert data["super_discord"] == pytest.approx(dw, abs=1e-12)
+
+    def test_resurrect(self, capsys, path):
+        rc, out = run(capsys, "resurrect", "--state", f"file:{path}", "--x", "0.5")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["delta"] == data["post_super_discord"] == pytest.approx(0.618059342414, abs=1e-12)
+        assert data["gap"] == 0
+
+    def test_x_sweep(self, capsys, path):
+        rc, out = run(capsys, "sweep", "--state", f"file:{path}", "--axis", "x",
+                      "--start", "0.5", "--stop", "1", "--steps", "2")
+        assert rc == 0
+        lines = out.strip().split("\n")
+        rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+        assert [row["D_s"] for row in rows] == [0.0, 0.0]
+        assert all(row["D_s"] <= row["D_w"] <= row["I"] for row in rows)
+        assert [row["gap"] for row in rows] == [0.0, 0.0]
+
+
 class TestErrorPaths:
     def test_unknown_family(self, capsys):
         assert run(capsys, "report", "--state", "nosuch")[0] == 2

@@ -51,6 +51,31 @@ class TestConditionalEntropies:
             sd.strong_conditional_entropy(rho, b), abs=1e-10
         )
 
+    @pytest.mark.parametrize("x", [0.0, 0.1, 2.0, INFINITY])
+    @pytest.mark.parametrize("dim_a", range(1, 9))
+    def test_antipodal_bases_are_one_measurement(self, dim_a, x):
+        # -n = (pi - gamma, delta + pi) swaps the two outcomes, so S_w(n) = S_w(-n)
+        rng = np.random.default_rng(200 + dim_a)
+        rho = sd.random_state(dim_a, dim_a=dim_a, rank=2 * dim_a)
+        for _ in range(10):
+            g, d = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+            s_n = sd.weak_conditional_entropy(rho, QubitBasis(g, d), x)
+            s_anti = sd.weak_conditional_entropy(rho, QubitBasis(math.pi - g, d + math.pi), x)
+            assert abs(s_n - s_anti) <= 1e-12, (g, d)
+
+
+CLASSICAL = np.diag([0.2, 0.0, 0.0, 0.8])  # 0.2 |00><00| + 0.8 |11><11|, D_s = 0
+
+
+def classical_weak_ce(x):
+    """S_w along z of CLASSICAL, its minimum: p(±x) h(q(±x)) summed."""
+    t = math.tanh(x)
+    total = 0.0
+    for a0, a1 in (((1 - t) / 2, (1 + t) / 2), ((1 + t) / 2, (1 - t) / 2)):
+        p = 0.2 * a0 + 0.8 * a1
+        total += p * binary_entropy(0.2 * a0 / p)
+    return total
+
 
 class TestMinimizer:
     def test_pure_minimizer_at_equator(self):
@@ -91,6 +116,22 @@ class TestMinimizer:
             discord._minimize(rho, 0.5, DEFAULT_CONFIG)
         assert exc.value.best_value <= lattice_min
 
+    @pytest.mark.parametrize("x", [0.5, INFINITY])
+    def test_minimum_on_a_pole_converges(self, x):
+        # delta is degenerate on the pole: the values settle, the vertices never meet xatol
+        rho = sd.validate(CLASSICAL, dim_a=2)
+        res = discord._minimize(rho, x, DEFAULT_CONFIG)
+        assert res.value == pytest.approx(classical_weak_ce(x) if x < INFINITY else 0.0, abs=1e-12)
+        assert min(res.basis.gamma, math.pi - res.basis.gamma) < 1e-4
+
+    def test_classical_state_discords_and_gap(self):
+        rho = sd.validate(CLASSICAL, dim_a=2)
+        rec = sd.verify_resurrection(rho, 0.5)
+        assert rec.report.discord == pytest.approx(0.0, abs=1e-12)
+        assert rec.report.super_discord == pytest.approx(0.618059342414, abs=1e-12)
+        assert rec.report.super_discord <= rec.report.mutual_info == pytest.approx(binary_entropy(0.2))
+        assert rec.gap == pytest.approx(0.0, abs=1e-12)
+
     def test_post_werner_minimizer_on_axis(self):
         post = sd.project_state(sd.werner(0.6), COMPUTATIONAL)
         basis, _ = sd.minimize_conditional_entropy(post, 0.5)
@@ -104,6 +145,87 @@ class TestMinimizer:
         for _ in range(20):
             b = QubitBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             assert vmin <= sd.weak_conditional_entropy(rho, b, 0.5) + 1e-9
+
+
+def full_lattice(rho4, x, gg, dd, cfg):
+    return discord._batched_weak_ce(rho4, x, gg, dd)
+
+
+def lattice(n_gamma, n_delta):
+    gg, dd = np.meshgrid(
+        np.linspace(0, math.pi, n_gamma), np.linspace(0, 2 * math.pi, n_delta, endpoint=False), indexing="ij"
+    )
+    return gg.ravel(), dd.ravel()
+
+
+def lattice_summary(vals):
+    """What `_minimize` reads off the lattice: min, max, argmin and first FLAT_TOL tie."""
+    vmin = vals.min()
+    return vmin, vals.max(), int(np.argmin(vals)), int(np.flatnonzero(vals <= vmin + discord.FLAT_TOL)[0])
+
+
+HEMISPHERE_GRIDS = [(64, 64), (16, 16), (7, 4), (5, 6), (3, 2), (4, 1), (5, 3)]
+
+
+class TestHemisphereScan:
+    """`_lattice_values` against the full `_batched_weak_ce` lattice: equal with ==."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.5, 2.0, INFINITY])
+    @pytest.mark.parametrize("dim_a", range(1, 9))
+    def test_summary_matches_full_lattice(self, dim_a, x):
+        rho4 = sd.random_state(dim_a, dim_a=dim_a, rank=2 * dim_a).as_tensor()
+        for n_gamma, n_delta in HEMISPHERE_GRIDS:
+            gg, dd = lattice(n_gamma, n_delta)
+            got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta))
+            want = discord._batched_weak_ce(rho4, x, gg, dd)
+            assert lattice_summary(got) == lattice_summary(want), (n_gamma, n_delta)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            *[pytest.param(sd.random_state(seed, dim_a=dim_a, rank=2 * dim_a), id=f"random-{dim_a}-{seed}")
+              for dim_a in (2, 3) for seed in range(3)],
+            pytest.param(sd.pure_schmidt(0.2), id="pure"),
+            pytest.param(sd.werner(0.6), id="werner"),
+            pytest.param(sd.project_state(sd.werner(0.6), COMPUTATIONAL), id="post-werner"),
+        ],
+    )
+    def test_minimize_matches_full_scan(self, rho, monkeypatch):
+        cfgs = [DEFAULT_CONFIG, OptimizerConfig(16, 16), OptimizerConfig(5, 6)]
+        cases = [(x, cfg) for x in (0.1, 0.5, 2.0, INFINITY) for cfg in cfgs]
+        got = [discord._minimize(rho, x, cfg) for x, cfg in cases]
+        monkeypatch.setattr(discord, "_lattice_values", full_lattice)
+        assert got == [discord._minimize(rho, x, cfg) for x, cfg in cases]
+
+    @pytest.fixture
+    def kernel_batches(self, monkeypatch):
+        sizes = []
+        inner = discord._batched_weak_ce
+
+        def counting(rho4, x, gammas, deltas):
+            sizes.append(len(gammas))
+            return inner(rho4, x, gammas, deltas)
+
+        monkeypatch.setattr(discord, "_batched_weak_ce", counting)
+        return sizes
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("x", [0.5, INFINITY])
+    def test_even_lattice_scans_one_hemisphere(self, seed, x, kernel_batches):
+        rho4 = sd.random_state(seed).as_tensor()
+        discord._lattice_values(rho4, x, *lattice(64, 64), DEFAULT_CONFIG)
+        assert kernel_batches[0] == 4096 // 2
+        assert sum(kernel_batches) <= 4096 // 2 + 256
+        assert min(kernel_batches) >= 2  # a one-row batch takes matmul's vector path
+
+    @pytest.mark.parametrize("grid", [(4, 1), (5, 3), (64, 63)])
+    def test_odd_lattice_width_scans_every_point(self, grid, kernel_batches):
+        discord._lattice_values(sd.random_state(1).as_tensor(), 0.5, *lattice(*grid), OptimizerConfig(*grid))
+        assert kernel_batches == [grid[0] * grid[1]]
+
+    def test_flat_lattice_scans_every_point(self, kernel_batches):
+        discord._lattice_values(sd.werner(0.6).as_tensor(), 0.5, *lattice(64, 64), DEFAULT_CONFIG)
+        assert sum(kernel_batches) == 4096
 
 
 class TestDiscordMeasures:
@@ -349,7 +471,11 @@ def rosenbrock(p):
 
 
 def weak_ce_objective(seed, x):
-    rho4 = sd.random_state(seed).as_tensor()
+    return weak_ce_objective_of(sd.random_state(seed), x)
+
+
+def weak_ce_objective_of(rho, x):
+    rho4 = rho.as_tensor()
     return lambda p: float(discord._batched_weak_ce(rho4, x, np.array([p[0]]), np.array([p[1]]))[0])
 
 
@@ -383,6 +509,17 @@ class TestNelderMeadPort:
     def test_failure_branches_reached(self, monkeypatch):
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
         assert not discord._nm_minimize(rosenbrock, (-1.2, 1.0)).success
+
+    def test_flat_simplex_without_success(self):
+        # on the pole the values settle at 0 while delta wanders
+        fun = weak_ce_objective_of(sd.validate(CLASSICAL, dim_a=2), INFINITY)
+        res = discord._nm_minimize(fun, (0.0, 0.0))
+        assert (res.success, res.flat, res.fun) == (False, True, 0.0)
+
+    def test_success_is_flat(self, monkeypatch):
+        assert discord._nm_minimize(rosenbrock, (-1.2, 1.0)).flat
+        monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
+        assert not discord._nm_minimize(rosenbrock, (-1.2, 1.0)).flat
 
 
 def einsum_weak_ce(rho4, x, gammas, deltas):
