@@ -40,11 +40,7 @@ SWEEP_COLUMNS = [
 
 
 def fmt_float(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(float(v), ".12g")
+    return format(float(v), ".12g")  # also "nan", "inf" and "-inf"
 
 
 def dumps(v) -> str:
@@ -54,8 +50,6 @@ def dumps(v) -> str:
         if math.isfinite(v):
             return fmt_float(v)
         return json.dumps(fmt_float(v))  # "inf"/"nan" as strings, valid JSON
-    if isinstance(v, str):
-        return json.dumps(v)
     if isinstance(v, dict):
         inner = ",".join(f"{json.dumps(k)}:{dumps(v[k])}" for k in sorted(v))
         return "{" + inner + "}"
@@ -84,14 +78,20 @@ def load_state_file(path: str) -> DensityMatrix:
     return qstate.validate(m, dim_a=data["dim_a"], dim_b=data["dim_b"])
 
 
-# each family option, the --state it belongs to, and its default there
-FAMILY_OPTIONS = (("lambda0", "pure", 0.5), ("z", "werner", 0.5), ("seed", "random", 0))
+# each --state family: its option, that option's default, and its constructor in
+# `families`, looked up by name on each call so that a wrapper installed on the
+# module (as bench/tracer.py does) sees it
+FAMILIES = {
+    "pure": ("lambda0", 0.5, "pure_schmidt"),
+    "werner": ("z", 0.5, "werner"),
+    "random": ("seed", 0, "random_state"),
+}
 
 
 def check_options(args) -> None:
     """Parse --x, and give each family option its default or reject it for another --state."""
     args.x = float(args.x)
-    for name, family, default in FAMILY_OPTIONS:
+    for family, (name, default, _) in FAMILIES.items():
         value = getattr(args, name)
         if value is None:
             if args.state == family:
@@ -104,13 +104,10 @@ def resolve_state(args) -> DensityMatrix:
     spec = args.state
     if spec.startswith("file:"):
         return load_state_file(spec[len("file:") :])
-    if spec == "pure":
-        return families.pure_schmidt(args.lambda0)
-    if spec == "werner":
-        return families.werner(args.z)
-    if spec == "random":
-        return families.random_state(args.seed)
-    raise QuantumStateError(f"unknown state spec '{spec}'")
+    if spec not in FAMILIES:
+        raise QuantumStateError(f"unknown state spec '{spec}'")
+    name, _, constructor = FAMILIES[spec]
+    return getattr(families, constructor)(getattr(args, name))
 
 
 def make_config(args) -> OptimizerConfig:
@@ -142,13 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def cmd_report(args) -> int:
@@ -210,29 +207,29 @@ def cmd_resurrect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.axis == "z" and args.state not in ("werner",):
-        raise QuantumStateError("axis 'z' requires --state werner")
-    if args.axis == "lambda0" and args.state not in ("pure",):
-        raise QuantumStateError("axis 'lambda0' requires --state pure")
+    if args.axis != "x":
+        family = next(f for f, (name, _, _) in FAMILIES.items() if name == args.axis)
+        if args.state != family:
+            raise QuantumStateError(f"axis '{args.axis}' requires --state {family}")
     if args.steps < 1:
         raise DomainError(f"sweep needs --steps >= 1, got {args.steps}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise DomainError(f"sweep needs finite --start and --stop, got {args.start}, {args.stop}")
     cfg = make_config(args)
     grid = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+    # every row's strength or state passes its check before any minimization
     if args.axis == "x":
-        # every strength passes the strength rule before any minimization; the
-        # rows share one state object, so its strong minimum is found once
         for value in grid:
             measure.weak_amplitudes(value)
-        rho = resolve_state(args)
+        rho = resolve_state(args)  # one state object, so its strong minimum is found once
+        rows = [(value, rho, value) for value in grid]
+    else:
+        rows = []
+        for value in grid:
+            setattr(args, args.axis, value)
+            rows.append((value, resolve_state(args), args.x))
     lines = [",".join(SWEEP_COLUMNS)]
-    for value in grid:
-        x = value if args.axis == "x" else args.x
-        if args.axis == "z":
-            rho = families.werner(value)
-        elif args.axis == "lambda0":
-            rho = families.pure_schmidt(value)
+    for value, rho, x in rows:
         s_ab = qstate.von_neumann_entropy(rho.entries)
         s_b = qstate.von_neumann_entropy(qstate.partial_trace_a(rho))
         if math.isfinite(x) and x > 0:
@@ -265,7 +262,7 @@ def main(argv=None) -> int:
     try:
         check_options(args)
         return handlers[args.command](args)
-    except (QuantumStateError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # QuantumStateError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NoConvergence as exc:

@@ -67,10 +67,6 @@ def same_basis(b1: QubitBasis, b2: QubitBasis, tol: float = 1e-4) -> bool:
 class WeakOperatorPair:
     """The operators P(x), P(-x) built from a basis and a strength x >= 0."""
 
-    basis: QubitBasis
-    strength: float
-    amp_plus: float
-    amp_minus: float
     op_plus: np.ndarray
     op_minus: np.ndarray
 
@@ -84,7 +80,7 @@ def weak_amplitudes(x: float) -> tuple[float, float]:
     """
     if not x >= 0:
         raise NegativeStrength(f"strength must be >= 0, got {x}")
-    t = math.tanh(x) if math.isfinite(x) else 1.0
+    t = math.tanh(x)
     return math.sqrt((1.0 - t) / 2.0), math.sqrt((1.0 + t) / 2.0)
 
 
@@ -105,7 +101,7 @@ def weak_operators(x: float, gammas: np.ndarray, deltas: np.ndarray) -> tuple[np
 def weak_pair(basis: QubitBasis, x: float) -> WeakOperatorPair:
     """P(x) and P(-x) for one basis, from `weak_operators`."""
     plus, minus = weak_operators(x, np.array([basis.gamma]), np.array([basis.delta]))
-    return WeakOperatorPair(basis, x, *weak_amplitudes(x), plus[0], minus[0])
+    return WeakOperatorPair(plus[0], minus[0])
 
 
 @dataclass(frozen=True)

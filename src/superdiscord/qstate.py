@@ -30,10 +30,6 @@ class DensityMatrix:
     entries: np.ndarray
     _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
-
     def as_tensor(self) -> np.ndarray:
         """Entries reshaped to indices (a, b, a', b')."""
         return self.entries.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
@@ -66,13 +62,6 @@ def validate(m, dim_a: int, dim_b: int = 2) -> DensityMatrix:
         raise NotPositive(f"smallest eigenvalue {lo:.3e} below -{EIG_TOL:.0e}")
     m.flags.writeable = False  # m is a new array, never the caller's
     return DensityMatrix(dim_a, dim_b, m)
-
-
-def tensor(a, b) -> DensityMatrix:
-    """Kronecker product of a state on A with a qubit state on B."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return validate(np.kron(a, b), dim_a=a.shape[0], dim_b=b.shape[0])
 
 
 def partial_trace_b(rho: DensityMatrix) -> np.ndarray:

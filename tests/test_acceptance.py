@@ -19,8 +19,9 @@ import pytest
 
 import superdiscord as sd
 from superdiscord import cli
-from superdiscord.families import binary_entropy
 from superdiscord.measure import COMPUTATIONAL, INFINITY
+
+from oracles import binary_entropy, oracle_pure_delta, oracle_werner
 
 STRENGTHS = (0.1, 0.5, 1.0)
 ENSEMBLE_SIZE = 200
@@ -74,7 +75,7 @@ def test_criterion_1_headline_number(capsys):
     t0 = time.monotonic()
     # independent recomputation of the headline constant before trusting it
     thetas = np.arange(0.0, math.pi + 1e-4, 1e-4)
-    oracle_min = float(np.min(sd.oracle_pure_delta(0.2, 0.2, thetas)))
+    oracle_min = float(np.min(oracle_pure_delta(0.2, 0.2, thetas)))
     assert abs(oracle_min - 0.7010) < 1e-3
 
     rc = cli.main(["report", "--state", "pure", "--lambda0", "0.2", "--x", "0.2"])
@@ -124,7 +125,7 @@ def test_criterion_3_werner_closed_forms():
     for z in np.linspace(0.1, 0.9, 9):
         w = sd.werner(float(z))
         for x in (0.1, 0.5, 1.0, 2.0):
-            oracle = sd.oracle_werner(float(z), x)
+            oracle = oracle_werner(float(z), x)
             _, weak_min = sd.minimize_conditional_entropy(w, x)
             _, strong_min = sd.minimize_conditional_entropy(w, INFINITY)
             worst_ce = max(

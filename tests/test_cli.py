@@ -11,8 +11,9 @@ import superdiscord as sd
 from superdiscord import cli
 from superdiscord.discord import OptimizerConfig
 from superdiscord.errors import NoConvergence
-from superdiscord.families import binary_entropy
 from superdiscord.measure import INFINITY
+
+from oracles import binary_entropy, oracle_werner
 
 
 def run(capsys, *argv):
@@ -163,7 +164,7 @@ class TestSweep:
         lines = out.strip().split("\n")
         rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
         for row in rows:
-            oracle = sd.oracle_werner(row["param"], 0.5)
+            oracle = oracle_werner(row["param"], 0.5)
             assert row["delta"] == pytest.approx(oracle.delta, abs=1e-6)
             assert row["cond_entropy_strong"] == pytest.approx(oracle.strong_ce, abs=1e-6)
             assert row["cond_entropy_weak"] == pytest.approx(oracle.weak_ce, abs=1e-6)
@@ -308,6 +309,25 @@ class TestErrorPaths:
         assert minimize_calls == []
 
     @pytest.mark.parametrize(
+        "state, axis, start, stop, message",
+        [("werner", "z", "0.5", "1.5", "z must be in [0, 1], got 1.5"),
+         ("pure", "lambda0", "0", "1.2", "lambda0 must be in [0, 1], got 1.2"),
+         ("werner", "lambda0", "0", "1", "axis 'lambda0' requires --state pure"),
+         ("random", "z", "0", "1", "axis 'z' requires --state werner"),
+         ("file:BELL", "z", "0", "1", "axis 'z' requires --state werner")],
+        ids=["z-out-of-range", "lambda0-out-of-range", "werner-lambda0", "random-z", "file-z"],
+    )
+    def test_family_sweep_checks_every_row_before_computing(
+        self, capsys, tmp_path, minimize_calls, state, axis, start, stop, message
+    ):
+        rc = cli.main(["sweep", "--state", state.replace("BELL", bell_file(tmp_path)), "--axis", axis,
+                       "--start", start, "--stop", stop, "--steps", "3", "--grid", "8"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"error: {message}\n"
+        assert minimize_calls == []
+
+    @pytest.mark.parametrize(
         "content",
         [
             "3",
@@ -433,6 +453,10 @@ class TestFormatting:
         assert cli.fmt_float(1 / 3) == "0.333333333333"
         assert cli.fmt_float(1.5e-10) == "1.5e-10"
         assert cli.fmt_float(0.0) == "0"
+
+    def test_non_finite_floats(self):
+        assert [cli.fmt_float(v) for v in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]
+        assert cli.dumps({"a": math.nan, "b": -math.inf}) == '{"a":"nan","b":"-inf"}'
 
     def test_json_keys_sorted(self, capsys):
         _, out = run(capsys, "report", "--state", "werner", "--z", "0.2")

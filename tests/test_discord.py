@@ -7,10 +7,10 @@ import superdiscord as sd
 from superdiscord import discord, measure
 from superdiscord.discord import DEFAULT_CONFIG, OptimizerConfig
 from superdiscord.errors import DomainError, NegativeStrength, NoConvergence
-from superdiscord.families import binary_entropy
 from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis, same_basis
 
 from conftest import random_unitary
+from oracles import binary_entropy, tensor
 
 FAST_CFG = OptimizerConfig(grid_gamma=32, grid_delta=32)
 
@@ -234,7 +234,7 @@ class TestDiscordMeasures:
         assert ds == pytest.approx(binary_entropy(0.2), abs=1e-8)
 
     def test_product_state_zero_discord(self):
-        rho = sd.tensor(np.diag([0.2, 0.8]), np.diag([0.3, 0.7]))
+        rho = tensor(np.diag([0.2, 0.8]), np.diag([0.3, 0.7]))
         ds, _ = sd.normal_discord(rho)
         assert ds == pytest.approx(0.0, abs=1e-9)
 

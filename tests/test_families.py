@@ -4,9 +4,30 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
+from superdiscord import families
 from superdiscord.errors import BadDimension, BadRank, DomainError
-from superdiscord.families import binary_entropy
 from superdiscord.measure import COMPUTATIONAL, QubitBasis
+
+from oracles import binary_entropy, oracle_post_pure_wce, oracle_pure_delta, oracle_werner
+
+
+PUBLIC_NAMES = [
+    "DensityMatrix", "DiscordReport", "INFINITY", "MeasurementOutcome", "OptimizerConfig", "QubitBasis",
+    "ResurrectionRecord", "WeakOperatorPair", "analyze", "bell", "extra_correlation",
+    "minimize_conditional_entropy", "mutual_information", "normal_discord", "partial_trace_a",
+    "partial_trace_b", "project_state", "projective_outcomes", "projectors", "pure_schmidt",
+    "quantum_conditional_entropy", "random_state", "strong_conditional_entropy", "super_discord",
+    "validate", "verify_resurrection", "von_neumann_entropy", "weak_conditional_entropy", "weak_outcomes",
+    "weak_pair", "werner",
+]
+
+
+def test_public_surface():
+    assert sorted(sd.__all__) == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(sd, name)] == []
+    # the closed-form oracles are test helpers (tests/oracles.py), not package code
+    defined = vars(families)
+    assert [n for n in defined if n.startswith("oracle_") or n == "binary_entropy"] == []
 
 
 class TestConstructors:
@@ -66,21 +87,21 @@ class TestConstructors:
 
 class TestPureDeltaOracle:
     def test_headline_value(self):
-        assert sd.oracle_pure_delta(0.2, 0.2, math.pi / 2) == pytest.approx(0.7010, abs=1e-3)
+        assert oracle_pure_delta(0.2, 0.2, math.pi / 2) == pytest.approx(0.7010, abs=1e-3)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.5])
     def test_maximally_entangled_closed_form(self, x):
-        got = sd.oracle_pure_delta(0.5, x, math.pi / 2)
+        got = oracle_pure_delta(0.5, x, math.pi / 2)
         assert got == pytest.approx(binary_entropy((1 + math.tanh(x)) / 2), abs=1e-12)
 
     def test_product_state_zero(self):
-        assert sd.oracle_pure_delta(1.0, 0.7, 1.1) == pytest.approx(0.0, abs=1e-12)
+        assert oracle_pure_delta(1.0, 0.7, 1.1) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("lam0", [0.1, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0])
     def test_matches_numerical_extra_correlation(self, lam0, x):
         thetas = np.linspace(0.0, math.pi, 2001)
-        oracle_min = float(np.min(sd.oracle_pure_delta(lam0, x, thetas)))
+        oracle_min = float(np.min(oracle_pure_delta(lam0, x, thetas)))
         numeric = sd.extra_correlation(sd.pure_schmidt(lam0), x)
         assert numeric == pytest.approx(oracle_min, abs=1e-6)
 
@@ -89,12 +110,12 @@ class TestPostPureOracle:
     def test_gamma_zero_is_strength_independent(self):
         lam0 = 0.3
         expected = binary_entropy((1 + math.sqrt(1 - 4 * lam0 * (1 - lam0))) / 2)
-        assert sd.oracle_post_pure_wce(lam0, 0.2, 0.0, 1.0) == pytest.approx(expected, abs=1e-12)
-        assert sd.oracle_post_pure_wce(lam0, 2.0, 0.0, 0.3) == pytest.approx(expected, abs=1e-12)
+        assert oracle_post_pure_wce(lam0, 0.2, 0.0, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert oracle_post_pure_wce(lam0, 2.0, 0.0, 0.3) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("x", [0.2, 0.8])
     def test_maximally_entangled_at_minimum(self, x):
-        got = sd.oracle_post_pure_wce(0.5, x, math.pi / 2, 0.0)
+        got = oracle_post_pure_wce(0.5, x, math.pi / 2, 0.0)
         assert got == pytest.approx(binary_entropy((1 + math.tanh(x)) / 2), abs=1e-12)
 
     @pytest.mark.parametrize("lam0", [0.2, 0.4])
@@ -103,7 +124,7 @@ class TestPostPureOracle:
         post = sd.project_state(sd.pure_schmidt(lam0), QubitBasis(math.pi / 2, 0.0))
         numeric = sd.weak_conditional_entropy(post, QubitBasis(math.pi / 2, 0.0), x)
         assert numeric == pytest.approx(
-            float(sd.oracle_post_pure_wce(lam0, x, math.pi / 2, 0.0)), abs=1e-9
+            float(oracle_post_pure_wce(lam0, x, math.pi / 2, 0.0)), abs=1e-9
         )
 
     def test_minimized_at_equator_phase_zero(self):
@@ -111,7 +132,7 @@ class TestPostPureOracle:
         gammas = np.linspace(0, math.pi, 101)
         deltas = np.linspace(0, 2 * math.pi, 101)
         gg, dd = np.meshgrid(gammas, deltas, indexing="ij")
-        vals = sd.oracle_post_pure_wce(lam0, x, gg.ravel(), dd.ravel())
+        vals = oracle_post_pure_wce(lam0, x, gg.ravel(), dd.ravel())
         best = np.argmin(vals)
         assert gg.ravel()[best] == pytest.approx(math.pi / 2, abs=0.05)
         d_best = dd.ravel()[best] % math.pi
@@ -120,17 +141,17 @@ class TestPostPureOracle:
 
 class TestWernerOracle:
     def test_maximally_mixed(self):
-        o = sd.oracle_werner(0.0, 0.7)
+        o = oracle_werner(0.0, 0.7)
         assert o.strong_ce == pytest.approx(1.0, abs=1e-12)
         assert o.weak_ce == pytest.approx(1.0, abs=1e-12)
         assert o.delta == pytest.approx(0.0, abs=1e-12)
 
     def test_strong_limit(self):
-        assert sd.oracle_werner(1.0, math.inf).delta == pytest.approx(0.0, abs=1e-12)
+        assert oracle_werner(1.0, math.inf).delta == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_check_with_numerics(self):
         z, x = 0.8, 0.5
-        o = sd.oracle_werner(z, x)
+        o = oracle_werner(z, x)
         w = sd.werner(z)
         _, weak_min = sd.minimize_conditional_entropy(w, x)
         _, strong_min = sd.minimize_conditional_entropy(w, sd.INFINITY)
@@ -141,4 +162,4 @@ class TestWernerOracle:
         for z in np.linspace(0.0, 0.9, 10):
             for x in np.linspace(0.1, 2.0, 10):
                 got = sd.weak_conditional_entropy(sd.werner(float(z)), COMPUTATIONAL, float(x))
-                assert got == pytest.approx(sd.oracle_werner(float(z), float(x)).weak_ce, abs=1e-9)
+                assert got == pytest.approx(oracle_werner(float(z), float(x)).weak_ce, abs=1e-9)

@@ -8,6 +8,8 @@ from superdiscord import measure
 from superdiscord.errors import NegativeStrength
 from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis, basis_from_ket, same_basis
 
+from oracles import tensor
+
 
 def random_basis(rng):
     return QubitBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
@@ -163,7 +165,7 @@ class TestOutcomes:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_outcome_flagged(self):
-        rho = sd.tensor(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
+        rho = tensor(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
         _, o2 = sd.projective_outcomes(rho, COMPUTATIONAL)
         assert o2.degenerate and o2.probability == 0.0
         # placeholder is still a valid state
@@ -249,6 +251,6 @@ class TestProjectState:
         assert np.abs(twice.entries - once.entries).max() < 1e-12
 
     def test_block_diagonal_fixed_point(self):
-        rho = sd.tensor(np.diag([0.4, 0.6]), np.diag([0.3, 0.7]))
+        rho = tensor(np.diag([0.4, 0.6]), np.diag([0.3, 0.7]))
         post = sd.project_state(rho, COMPUTATIONAL)
         assert np.abs(post.entries - rho.entries).max() < 1e-12

