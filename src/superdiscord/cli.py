@@ -89,8 +89,15 @@ FAMILIES = {
 
 
 def check_options(args) -> None:
-    """Parse --x, and give each family option its default or reject it for another --state."""
-    args.x = float(args.x)
+    """Parse --x, and give each family option its default or reject it for another --state.
+
+    A sweep sets its axis's own option (--x, --z or --lambda0) on every row, so
+    giving that option as well is rejected, not ignored.
+    """
+    axis = getattr(args, "axis", None)
+    if axis is not None and getattr(args, axis) is not None:
+        raise QuantumStateError(f"--{axis} is the swept axis of this sweep; set its range with --start and --stop")
+    args.x = float("0.5" if args.x is None else args.x)
     for family, (name, default, _) in FAMILIES.items():
         value = getattr(args, name)
         if value is None:
@@ -120,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lambda0", type=float, default=None, help="Schmidt weight for --state pure (0.5)")
     common.add_argument("--z", type=float, default=None, help="singlet weight for --state werner (0.5)")
     common.add_argument("--seed", type=int, default=None, help="seed for --state random (0)")
-    common.add_argument("--x", default="0.5", help="measurement strength (float or 'inf')")
+    common.add_argument("--x", default=None, help="measurement strength, a float or 'inf' (0.5)")
     common.add_argument("--grid", type=int, default=64, help="lattice points per angle, >= 3")
     common.add_argument("--out", default=None, help="write output to PATH instead of stdout")
 

@@ -8,6 +8,9 @@ measurement once: n and -n are one measurement with its outcomes swapped, so
 an even grid_delta evaluates one hemisphere (see `_lattice_values`). One
 kernel, `_batched_weak_ce`, gives every conditional entropy: the lattice, the
 refinement's objective and the public strong and weak scalars, bit for bit.
+It takes both outcomes P(x), P(-x) in one pass, on a batch axis with their
+rows never stacked, so a refinement point costs one eigvalsh and one entropy
+pass; the objective calls it directly, without building a QubitBasis.
 The refinement is an in-package port of scipy's default
 Nelder-Mead that keeps its iterates bit for bit, so numpy is the only runtime
 dependency. Its constants are fixed, not options: angle tolerance 1e-8, value
@@ -86,18 +89,29 @@ def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.
     """Weak conditional entropy for a flat batch of (gamma, delta) bases.
 
     P(±x) come from `measure.weak_operators`, A's conditional states from
-    `measure.conditional_blocks`.
+    `measure.conditional_blocks`, with the two outcomes on a batch axis and
+    rows never stacked, so one trace, one eigvalsh and one entropy pass serve
+    both. The outcomes are added to zeros one after the other: a pure
+    conditional state gives -0.0 per outcome, and the sum stays +0.0.
     """
+    m = measure.conditional_blocks(rho4, measure.weak_operators(x, gammas, deltas))
+    p = np.real(np.einsum("kgii->kg", m))
+    lam = np.linalg.eigvalsh(m)
+    # the blocks are freed and the pass works in place, so it holds no (2, n, dim_a)
+    # float array besides lam and terms; a degenerate row's spectrum, clipped into
+    # [0, 1], stays finite and is dropped by the last where
+    del m
+    lam /= np.maximum(p, 1e-300)[..., None]
+    # np.clip without its wrapper's cost; it differs only in turning -0.0 into +0.0,
+    # which the zero-based sums below cannot show
+    np.minimum(np.maximum(lam, 0.0, out=lam), 1.0, out=lam)
+    terms = np.where(lam > 0.0, lam, 1.0)
+    np.log2(terms, out=terms)
+    terms *= lam
+    c = np.where(p > measure.DEGENERATE_PROB, -p * terms.sum(axis=-1), 0.0)
     vals = np.zeros(len(gammas))
-    for m in measure.conditional_blocks(rho4, *measure.weak_operators(x, gammas, deltas)):
-        p = np.real(np.einsum("gii->g", m))
-        lam = np.linalg.eigvalsh(m)
-        live = p > measure.DEGENERATE_PROB
-        lam = np.where(live[:, None], lam / np.maximum(p, 1e-300)[:, None], 0.0)
-        lam = np.clip(lam, 0.0, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(lam > 0.0, lam * np.log2(lam), 0.0)
-        vals += np.where(live, -p * terms.sum(axis=-1), 0.0)
+    vals += c[0]
+    vals += c[1]
     return vals
 
 
@@ -243,7 +257,7 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> Minimizatio
     g_best, d_best, v_best = float(gg[idx]), float(dd[idx]), float(vals[idx])
 
     def objective(p):
-        return weak_conditional_entropy(rho, QubitBasis(*p), x)
+        return _batched_weak_ce(rho4, x, np.array([p[0]]), np.array([p[1]]))[0]
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
     if spread >= FLAT_TOL:

@@ -84,18 +84,27 @@ def weak_amplitudes(x: float) -> tuple[float, float]:
     return math.sqrt((1.0 - t) / 2.0), math.sqrt((1.0 + t) / 2.0)
 
 
-def weak_operators(x: float, gammas: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 2, 2) batches P(x), P(-x) = a(±x) Pi_phi + a(∓x) Pi_phibar, one per (gamma, delta).
+def weak_operators(x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The (2, n, 2, 2) stack of P(x), P(-x) = a(±x) Pi_phi + a(∓x) Pi_phibar, one per (gamma, delta).
 
     Pi_phi = |phi><phi| with |phi> as in `QubitBasis.ket`, and P(±x) is built as
-    a(∓x) I + (a(±x) − a(∓x)) Pi_phi, so Pi_phibar = I − Pi_phi. `weak_amplitudes`
-    checks x; x = INFINITY gives the projective limit P(x) = I − Pi_phi, P(-x) = Pi_phi.
+    a(∓x) I + (a(±x) − a(∓x)) Pi_phi, so Pi_phibar = I − Pi_phi; both outcomes come
+    from one broadcast over the coefficient pair, on axis 0, so
+    ``plus, minus = weak_operators(...)`` unpacks them. `weak_amplitudes` checks x;
+    x = INFINITY gives the projective limit P(x) = I − Pi_phi, P(-x) = Pi_phi.
     The kernel, `weak_pair` and the outcomes all take their operators from here.
     """
     ap, am = weak_amplitudes(x)
-    kets = np.stack([np.cos(gammas / 2), np.exp(1j * deltas) * np.sin(gammas / 2)], axis=-1)
+    half = gammas / 2
+    kets = np.empty((len(gammas), 2), complex)
+    kets[:, 0] = np.cos(half)
+    kets[:, 1] = np.exp(1j * deltas) * np.sin(half)
     proj = kets[:, :, None] * kets.conj()[:, None, :]
-    return tuple(c_bar * np.eye(2) + (c_phi - c_bar) * proj for c_phi, c_bar in ((ap, am), (am, ap)))
+    c_bar = np.array([am, ap])[:, None, None, None]  # a(∓x), for P(x) and P(-x)
+    c_diff = np.array([ap - am, am - ap])[:, None, None, None]  # a(±x) − a(∓x)
+    ops = c_diff * proj
+    ops += c_bar * np.eye(2)  # in place, one (2, n, 2, 2) array fewer; a + b == b + a bit for bit
+    return ops
 
 
 def weak_pair(basis: QubitBasis, x: float) -> WeakOperatorPair:
@@ -111,21 +120,24 @@ class MeasurementOutcome:
     degenerate: bool = False
 
 
-def conditional_blocks(rho4: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:
-    """M_ij = Σ_abc P_ab ρ_ibjc P_ca, the unnormalized states of A, per (n, 2, 2) batch of P.
+def conditional_blocks(rho4: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """M_ij = Σ_abc P_ab ρ_ibjc P_ca, the unnormalized states of A, for a (k, n, 2, 2) stack of P.
 
-    rho4 is ρ as indices (a, b, a', b'). These are, bit for bit, the two matmuls
-    ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` plans, without its
-    per-call planning: T = P·P, then the (n, 4) rows T_bc against ρ laid out once
-    as (bc, ij). Batches are never stacked: matmul takes another path for one row
-    than for several, so stacking would change values at odd dim_a.
+    rho4 is ρ as indices (a, b, a', b'); the result is (k, n, dim_a, dim_a). These
+    are, bit for bit, the two matmuls
+    ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` plans for each of
+    the k batches, without its per-call planning: P·P, then its transpose T as
+    (n, 4) rows T_bc against ρ laid out once as (bc, ij). The k outcomes lie on
+    a batch axis of each matmul and their rows are never stacked: matmul takes
+    another path for one row than for several, so stacking would change values
+    at odd dim_a.
     """
-    dim_a = rho4.shape[0]
+    dim_a, batch = rho4.shape[0], ops.shape[:-2]
     r = np.einsum("ibjc->bcij", rho4).reshape(4, dim_a * dim_a)
-    return tuple(
-        np.matmul(np.matmul(p, p).transpose(0, 2, 1).reshape(-1, 4), r).reshape(-1, dim_a, dim_a)
-        for p in ops
-    )
+    t = np.matmul(ops, ops).reshape(*batch, 4)
+    del ops  # so the operators the kernel passes as a temporary are freed before the blocks exist
+    t[..., 1:3] = t[..., 2:0:-1]  # T_bc = (P·P)_cb, swapped in place rather than copied
+    return np.matmul(t, r).reshape(*batch, dim_a, dim_a)
 
 
 def _outcome(m: np.ndarray) -> MeasurementOutcome:
@@ -140,7 +152,7 @@ def weak_outcomes(
     rho: DensityMatrix, pair: WeakOperatorPair
 ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
     """Conditional states and probabilities for outcomes P(x), P(-x), in that order."""
-    plus, minus = conditional_blocks(rho.as_tensor(), pair.op_plus[None], pair.op_minus[None])
+    plus, minus = conditional_blocks(rho.as_tensor(), np.stack([pair.op_plus, pair.op_minus])[:, None])
     return _outcome(plus[0]), _outcome(minus[0])
 
 

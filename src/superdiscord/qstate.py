@@ -44,6 +44,8 @@ def validate(m, dim_a: int, dim_b: int = 2) -> DensityMatrix:
     """
     if dim_b != 2:
         raise BadDimension(f"measured subsystem B must be a qubit, got dim_b={dim_b}")
+    if type(dim_a) is not int or dim_a < 1:  # a float or bool would reach numpy and the state
+        raise BadDimension(f"dim_a must be an int >= 1, got {dim_a!r}")
     m = np.asarray(m, dtype=complex)
     if not np.isfinite(m).all():
         raise NotFinite("matrix has NaN or infinite entries")

@@ -328,6 +328,25 @@ class TestErrorPaths:
         assert minimize_calls == []
 
     @pytest.mark.parametrize(
+        "state, axis, option",
+        [("werner", "z", ["--z", "5"]), ("werner", "z", ["--z", "0.3"]),
+         ("pure", "lambda0", ["--lambda0", "0.2"]), ("random", "x", ["--x", "7"]),
+         ("random", "x", ["--x", "0.5"])],
+        ids=["z-out-of-range", "z-in-range", "lambda0", "x", "x-default-value"],
+    )
+    def test_sweep_rejects_its_own_axis_option(self, capsys, minimize_calls, monkeypatch, state, axis, option):
+        built = []
+        monkeypatch.setattr(cli, "resolve_state", lambda args: built.append(args) or sd.werner(0.5))
+        rc = cli.main(["sweep", "--state", state, "--axis", axis, "--start", "0.2", "--stop", "0.4",
+                       "--steps", "2", "--grid", "4", *option])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: --{axis} is the swept axis of this sweep; set its range with --start and --stop\n"
+        )
+        assert (built, minimize_calls) == ([], [])
+
+    @pytest.mark.parametrize(
         "content",
         [
             "3",

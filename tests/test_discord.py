@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -606,6 +607,44 @@ class TestKernelPort:
                     p = np.trace(m).real
                     assert o.probability == pytest.approx(p, rel=0, abs=1e-14)
                     np.testing.assert_allclose(o.conditional_state, m / p, rtol=0, atol=1e-14)
+
+
+class TestKernelInvariants:
+    """What the one-pass kernel must keep: the refinement's values and the sign of zero."""
+
+    @pytest.mark.parametrize("x", [0.5, INFINITY])
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_refinement_points_equal_the_scalar(self, dim_a, x, monkeypatch):
+        rho = sd.random_state(dim_a, dim_a=dim_a, rank=4)
+        inner, points = discord._batched_weak_ce, []
+
+        def recording(rho4, x, gammas, deltas):
+            vals = inner(rho4, x, gammas, deltas)
+            if len(gammas) == 1:
+                points.append((float(gammas[0]), float(deltas[0]), vals[0]))
+            return vals
+
+        monkeypatch.setattr(discord, "_batched_weak_ce", recording)
+        discord._minimize(rho, x, OptimizerConfig(8, 8))
+        monkeypatch.undo()
+        assert len(points) > 20
+        for g, d, v in points:
+            assert v == sd.weak_conditional_entropy(rho, QubitBasis(g, d), x), (g, d)
+
+    @pytest.mark.parametrize("x", [0.5, INFINITY])
+    def test_pure_product_state_gives_positive_zero(self, x):
+        # each outcome leaves A pure, -p * 0.0 = -0.0, and the sum must stay +0.0
+        rho = sd.validate(np.diag([1.0, 0.0, 0.0, 0.0]), dim_a=2)
+        gammas = np.array([0.0, 1.0, math.pi / 2, math.pi])
+        deltas = np.array([0.0, 0.3, 2.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = [*discord._batched_weak_ce(rho.as_tensor(), x, gammas, deltas)]
+            for g, d in zip(gammas, deltas):
+                vals.append(discord._batched_weak_ce(rho.as_tensor(), x, np.array([g]), np.array([d]))[0])
+                vals.append(sd.weak_conditional_entropy(rho, QubitBasis(g, d), x))
+        assert [math.copysign(1.0, v) for v in vals] == [1.0] * len(vals)
+        assert vals == [0.0] * len(vals)
 
 
 def kernel_points(seed):

@@ -112,6 +112,26 @@ class TestWeakPair:
         assert np.abs(prod / np.linalg.norm(prod) - pxy / np.linalg.norm(pxy)).max() < 1e-10
 
 
+class TestConditionalBlocks:
+    @pytest.mark.parametrize("x", [0.0, 0.5, INFINITY])
+    @pytest.mark.parametrize("dim_a", range(1, 9))
+    def test_stacked_outcomes_equal_each_alone(self, dim_a, x, rng):
+        # a one-point batch must stay one (1, 4) row per outcome: two stacked rows
+        # would take matmul's several-row path and change bits at odd dim_a
+        rho4 = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a)).as_tensor()
+        r = rho4.transpose(1, 3, 0, 2).reshape(4, dim_a * dim_a)
+        points = [(0.0, 0.0), (math.pi, 1.0)]
+        points += [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(6)]
+        for g, d in points:
+            ops = measure.weak_operators(x, np.array([g]), np.array([d]))
+            assert ops.shape == (2, 1, 2, 2)
+            blocks = measure.conditional_blocks(rho4, ops)
+            assert blocks.shape == (2, 1, dim_a, dim_a)
+            for k in (0, 1):
+                row = (ops[k, 0] @ ops[k, 0]).T.reshape(1, 4)
+                assert np.array_equal(blocks[k, 0], (row @ r).reshape(dim_a, dim_a)), (g, d, k)
+
+
 class TestOutcomes:
     def test_bell_zero_strength(self, bell_state):
         pair = sd.weak_pair(COMPUTATIONAL, 0.0)

@@ -62,6 +62,16 @@ class TestValidate:
         with pytest.raises(BadDimension):
             sd.validate(np.eye(6) / 6, dim_a=2)
 
+    def test_empty_matrix_with_zero_dim_a(self):
+        # the zero-size max would raise numpy's own ValueError
+        with pytest.raises(BadDimension, match="dim_a must be an int >= 1, got 0"):
+            sd.validate(np.zeros((0, 0)), 0)
+
+    @pytest.mark.parametrize("dim_a", [2.0, True, -1, np.int64(2)])
+    def test_dim_a_must_be_a_positive_int(self, dim_a):
+        with pytest.raises(BadDimension, match="dim_a must be an int >= 1"):
+            sd.validate(np.eye(4) / 4, dim_a)
+
     def test_entries_read_only_and_input_untouched(self):
         m = np.eye(4, dtype=complex) / 4  # complex already, so asarray passes m itself through
         rho = sd.validate(m, dim_a=2)
