@@ -5,17 +5,13 @@ from .discord import (
     OptimizerConfig,
     ResurrectionRecord,
     analyze,
-    extra_correlation,
     minimize_conditional_entropy,
-    normal_discord,
     quantum_conditional_entropy,
-    strong_conditional_entropy,
     super_discord,
     verify_resurrection,
     weak_conditional_entropy,
 )
 from .families import (
-    bell,
     pure_schmidt,
     random_state,
     werner,
@@ -24,7 +20,6 @@ from .measure import (
     INFINITY,
     MeasurementOutcome,
     QubitBasis,
-    WeakOperatorPair,
     project_state,
     projective_outcomes,
     projectors,
@@ -48,13 +43,9 @@ __all__ = [
     "OptimizerConfig",
     "QubitBasis",
     "ResurrectionRecord",
-    "WeakOperatorPair",
     "analyze",
-    "bell",
-    "extra_correlation",
     "minimize_conditional_entropy",
     "mutual_information",
-    "normal_discord",
     "partial_trace_a",
     "partial_trace_b",
     "project_state",
@@ -63,7 +54,6 @@ __all__ = [
     "pure_schmidt",
     "quantum_conditional_entropy",
     "random_state",
-    "strong_conditional_entropy",
     "super_discord",
     "validate",
     "verify_resurrection",

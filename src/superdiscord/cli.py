@@ -15,7 +15,7 @@ import numpy as np
 
 from . import discord, families, measure, qstate
 from .discord import OptimizerConfig
-from .errors import DomainError, NoConvergence, QuantumStateError
+from .errors import BadDimension, DomainError, NoConvergence, QuantumStateError
 from .measure import QubitBasis
 from .qstate import DensityMatrix
 
@@ -68,14 +68,13 @@ def load_state_file(path: str) -> DensityMatrix:
     for key in ("dim_a", "dim_b", "re", "im"):
         if key not in data:
             raise QuantumStateError(f"state file missing key '{key}'")
-    for key in ("dim_a", "dim_b"):
-        if type(data[key]) is not int:  # bool is an int subclass, and no dimension
-            raise QuantumStateError(f"state file '{key}' must be an integer, got {data[key]!r}")
+    if type(data["dim_b"]) is not int or data["dim_b"] != 2:  # B is a qubit; 2.0 and true are no dimension
+        raise BadDimension(f"state file 'dim_b' must be the integer 2, got {data['dim_b']!r}")
     try:
         m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise QuantumStateError(f"state file 're' and 'im' must be numeric: {exc}") from exc
-    return qstate.validate(m, dim_a=data["dim_a"], dim_b=data["dim_b"])
+    return qstate.validate(m, dim_a=data["dim_a"])
 
 
 # each --state family: its option, that option's default, and its constructor in

@@ -6,8 +6,8 @@ The basis minimization is a two-phase scheme: exhaustive evaluation on a
 point. Lattice evaluation is vectorized over the grid points, and scans each
 measurement once: n and -n are one measurement with its outcomes swapped, so
 an even grid_delta evaluates one hemisphere (see `_lattice_values`). One
-kernel, `_batched_weak_ce`, gives every conditional entropy: the lattice, the
-refinement's objective and the public strong and weak scalars, bit for bit.
+kernel, `_batched_weak_ce`, gives every conditional entropy, bit for bit: the
+lattice, the refinement's objective and `weak_conditional_entropy` (strong at x = INFINITY).
 It takes both outcomes P(x), P(-x) in one pass, on a batch axis with their
 rows never stacked, so a refinement point costs one eigvalsh and one entropy
 pass; the objective calls it directly, without building a QubitBasis.
@@ -74,13 +74,8 @@ def quantum_conditional_entropy(rho: DensityMatrix) -> float:
     )
 
 
-def strong_conditional_entropy(rho: DensityMatrix, basis: QubitBasis) -> float:
-    """Measured conditional entropy Σ p_i S(ρ^A_i) for projectors in `basis`."""
-    return weak_conditional_entropy(rho, basis, INFINITY)
-
-
 def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) -> float:
-    """p(x) S(ρ_{A|P(x)}) + p(-x) S(ρ_{A|P(-x)}) for the weak pair in `basis`."""
+    """p(x) S(ρ_{A|P(x)}) + p(-x) S(ρ_{A|P(-x)}) for the weak pair in `basis`; the strong one at x = INFINITY."""
     gammas, deltas = np.array([basis.gamma]), np.array([basis.delta])
     return float(_batched_weak_ce(rho.as_tensor(), x, gammas, deltas)[0])
 
@@ -293,26 +288,12 @@ def minimize_conditional_entropy(
     return res.basis, res.value
 
 
-def normal_discord(
-    rho: DensityMatrix, cfg: OptimizerConfig = DEFAULT_CONFIG
-) -> tuple[float, QubitBasis]:
-    """D_s = min_basis S(A|{Pi}) - S(A|B)."""
-    return super_discord(rho, INFINITY, cfg)
-
-
 def super_discord(
     rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> tuple[float, QubitBasis]:
-    """D_w = min_basis S_w(A|{P(x)}) - S(A|B)."""
+    """D_w = min_basis S_w(A|{P(x)}) - S(A|B); at x = INFINITY, the discord D_s."""
     res = _minimum(rho, x, cfg)
     return res.value - quantum_conditional_entropy(rho), res.basis
-
-
-def extra_correlation(
-    rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
-) -> float:
-    """Δ = D_w - D_s, the correlation seen by weak but not projective measurement."""
-    return analyze(rho, x, cfg).delta
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The state families the CLI and the tests build: pure Schmidt, Bell, Werner and random."""
+"""The state families the CLI and the tests build: pure Schmidt, Werner and random."""
 
 from __future__ import annotations
 
@@ -12,16 +12,11 @@ from .qstate import DensityMatrix
 
 
 def pure_schmidt(lambda0: float) -> DensityMatrix:
-    """Rank-1 state of sqrt(λ0)|00> + sqrt(λ1)|11> with λ1 = 1 - λ0."""
+    """Rank-1 state of sqrt(λ0)|00> + sqrt(λ1)|11> with λ1 = 1 - λ0; λ0 = 0.5 is the Bell state."""
     if not 0.0 <= lambda0 <= 1.0:
         raise DomainError(f"lambda0 must be in [0, 1], got {lambda0}")
     v = np.array([math.sqrt(lambda0), 0.0, 0.0, math.sqrt(1.0 - lambda0)], dtype=complex)
     return qstate.validate(np.outer(v, v.conj()), dim_a=2)
-
-
-def bell() -> DensityMatrix:
-    """Maximally entangled two-qubit state (|00> + |11>)/sqrt(2)."""
-    return pure_schmidt(0.5)
 
 
 def werner(z: float) -> DensityMatrix:
@@ -35,13 +30,13 @@ def werner(z: float) -> DensityMatrix:
 
 def random_state(seed: int, dim_a: int = 2, rank: int = 4) -> DensityMatrix:
     """Ginibre-induced random state GG†/Tr(GG†), deterministic in the seed."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if dim_a < 1:
-        raise BadDimension(f"dim_a must be >= 1, got {dim_a}")
+    if type(seed) is not int or seed < 0:  # a float or bool would reach numpy
+        raise DomainError(f"seed must be an int >= 0, got {seed!r}")
+    if type(dim_a) is not int or dim_a < 1:
+        raise BadDimension(f"dim_a must be an int >= 1, got {dim_a!r}")
     d = 2 * dim_a
-    if not 1 <= rank <= d:
-        raise BadRank(f"rank must be in [1, {d}], got {rank}")
+    if type(rank) is not int or not 1 <= rank <= d:
+        raise BadRank(f"rank must be an int in [1, {d}], got {rank!r}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T

@@ -63,14 +63,6 @@ def same_basis(b1: QubitBasis, b2: QubitBasis, tol: float = 1e-4) -> bool:
     return bool(overlap >= 1.0 - tol or overlap <= tol)
 
 
-@dataclass(frozen=True)
-class WeakOperatorPair:
-    """The operators P(x), P(-x) built from a basis and a strength x >= 0."""
-
-    op_plus: np.ndarray
-    op_minus: np.ndarray
-
-
 def weak_amplitudes(x: float) -> tuple[float, float]:
     """(a(x), a(-x)) with a(±x) = sqrt((1 ∓ tanh x)/2), for a strength x >= 0.
 
@@ -107,10 +99,9 @@ def weak_operators(x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarr
     return ops
 
 
-def weak_pair(basis: QubitBasis, x: float) -> WeakOperatorPair:
-    """P(x) and P(-x) for one basis, from `weak_operators`."""
-    plus, minus = weak_operators(x, np.array([basis.gamma]), np.array([basis.delta]))
-    return WeakOperatorPair(plus[0], minus[0])
+def weak_pair(basis: QubitBasis, x: float) -> np.ndarray:
+    """P(x), P(-x) for one basis as a (2, 2, 2) stack from `weak_operators`: ``plus, minus = weak_pair(b, x)``."""
+    return weak_operators(x, np.array([basis.gamma]), np.array([basis.delta]))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -149,10 +140,10 @@ def _outcome(m: np.ndarray) -> MeasurementOutcome:
 
 
 def weak_outcomes(
-    rho: DensityMatrix, pair: WeakOperatorPair
+    rho: DensityMatrix, pair: np.ndarray
 ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
-    """Conditional states and probabilities for outcomes P(x), P(-x), in that order."""
-    plus, minus = conditional_blocks(rho.as_tensor(), np.stack([pair.op_plus, pair.op_minus])[:, None])
+    """Conditional states and probabilities for the outcomes of a `weak_pair` stack P(x), P(-x), in that order."""
+    plus, minus = conditional_blocks(rho.as_tensor(), pair[:, None])
     return _outcome(plus[0]), _outcome(minus[0])
 
 
@@ -170,4 +161,4 @@ def project_state(rho: DensityMatrix, basis: QubitBasis) -> DensityMatrix:
     for pi in projectors(basis):
         big = np.kron(eye_a, pi)
         acc += big @ rho.entries @ big
-    return qstate.validate(acc, rho.dim_a, rho.dim_b)
+    return qstate.validate(acc, rho.dim_a)

@@ -19,37 +19,34 @@ EIG_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated trace-one positive-semidefinite Hermitian matrix on A ⊗ B.
+    """Validated trace-one positive-semidefinite Hermitian matrix on A ⊗ B, B a qubit.
 
     The entries are read-only, so each basis minimum `discord` finds for this
     object stays valid and is kept on it; an equal state in another object finds its own.
     """
 
     dim_a: int
-    dim_b: int
     entries: np.ndarray
     _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def as_tensor(self) -> np.ndarray:
         """Entries reshaped to indices (a, b, a', b')."""
-        return self.entries.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+        return self.entries.reshape(self.dim_a, 2, self.dim_a, 2)
 
 
-def validate(m, dim_a: int, dim_b: int = 2) -> DensityMatrix:
-    """Check a raw matrix against the density-matrix invariants.
+def validate(m, dim_a: int) -> DensityMatrix:
+    """Check a raw 2·dim_a × 2·dim_a matrix against the density-matrix invariants.
 
     The Hermitian part is taken (after checking the asymmetry is within
     tolerance), so tiny floating-point asymmetry is repaired, large asymmetry
     rejected.
     """
-    if dim_b != 2:
-        raise BadDimension(f"measured subsystem B must be a qubit, got dim_b={dim_b}")
     if type(dim_a) is not int or dim_a < 1:  # a float or bool would reach numpy and the state
         raise BadDimension(f"dim_a must be an int >= 1, got {dim_a!r}")
     m = np.asarray(m, dtype=complex)
     if not np.isfinite(m).all():
         raise NotFinite("matrix has NaN or infinite entries")
-    d = dim_a * dim_b
+    d = 2 * dim_a
     if m.shape != (d, d):
         raise BadDimension(f"expected a {d}x{d} matrix, got shape {m.shape}")
     asym = float(np.abs(m - m.conj().T).max())
@@ -63,7 +60,7 @@ def validate(m, dim_a: int, dim_b: int = 2) -> DensityMatrix:
     if lo < -EIG_TOL:
         raise NotPositive(f"smallest eigenvalue {lo:.3e} below -{EIG_TOL:.0e}")
     m.flags.writeable = False  # m is a new array, never the caller's
-    return DensityMatrix(dim_a, dim_b, m)
+    return DensityMatrix(dim_a, m)
 
 
 def partial_trace_b(rho: DensityMatrix) -> np.ndarray:

@@ -7,7 +7,7 @@ from superdiscord import discord
 
 @pytest.fixture
 def bell_state():
-    return sd.bell()
+    return sd.pure_schmidt(0.5)
 
 
 @pytest.fixture

@@ -85,4 +85,4 @@ def tensor(a, b) -> DensityMatrix:
     """Kronecker product of a state on A with a qubit state on B."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    return validate(np.kron(a, b), dim_a=a.shape[0], dim_b=b.shape[0])
+    return validate(np.kron(a, b), dim_a=a.shape[0])

@@ -354,8 +354,13 @@ class TestErrorPaths:
             '{"dim_a": 2, "dim_b": 2, "re": {"a": 1}, "im": []}',
             *[json.dumps({"dim_a": dim, "dim_b": 2, "re": (np.eye(4) / 4).tolist(),
                           "im": np.zeros((4, 4)).tolist()}) for dim in (2.7, True, "2")],
+            # B is a qubit: the file's dim_b is the one place a B dimension enters
+            *[json.dumps({"dim_a": 2, "dim_b": dim, "re": (np.eye(4) / 4).tolist(),
+                          "im": np.zeros((4, 4)).tolist()}) for dim in (3, 2.0, True, "2")],
+            json.dumps({"dim_a": 2, "dim_b": 2, "re": (np.eye(4) / 4).tolist()}),
         ],
-        ids=["not-an-object", "null-dim", "dict-entries", "float-dim", "bool-dim", "string-dim"],
+        ids=["not-an-object", "null-dim", "dict-entries", "float-dim", "bool-dim", "string-dim",
+             "qutrit-dim_b", "float-dim_b", "bool-dim_b", "string-dim_b", "missing-im"],
     )
     def test_malformed_state_file(self, capsys, tmp_path, content):
         path = tmp_path / "bad.json"

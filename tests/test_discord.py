@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -21,15 +23,15 @@ class TestConditionalEntropies:
         rho = sd.pure_schmidt(0.3)
         for _ in range(5):
             b = QubitBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            assert sd.strong_conditional_entropy(rho, b) == pytest.approx(0.0, abs=1e-9)
+            assert sd.weak_conditional_entropy(rho, b, INFINITY) == pytest.approx(0.0, abs=1e-9)
 
     def test_strong_werner_half(self):
-        got = sd.strong_conditional_entropy(sd.werner(0.5), COMPUTATIONAL)
+        got = sd.weak_conditional_entropy(sd.werner(0.5), COMPUTATIONAL, INFINITY)
         assert got == pytest.approx(0.8112781244591328, abs=1e-12)
 
     def test_strong_maximally_mixed(self):
         rho = sd.validate(np.eye(4) / 4, dim_a=2)
-        assert sd.strong_conditional_entropy(rho, QubitBasis(1.0, 0.2)) == pytest.approx(1.0, abs=1e-12)
+        assert sd.weak_conditional_entropy(rho, QubitBasis(1.0, 0.2), INFINITY) == pytest.approx(1.0, abs=1e-12)
 
     def test_weak_at_zero_is_marginal_entropy(self):
         rho = sd.random_state(5)
@@ -49,7 +51,7 @@ class TestConditionalEntropies:
         rho = sd.random_state(seed)
         b = QubitBasis(0.8, 2.4)
         assert sd.weak_conditional_entropy(rho, b, INFINITY) == pytest.approx(
-            sd.strong_conditional_entropy(rho, b), abs=1e-10
+            sd.weak_conditional_entropy(rho, b, INFINITY), abs=1e-10
         )
 
     @pytest.mark.parametrize("x", [0.0, 0.1, 2.0, INFINITY])
@@ -231,20 +233,20 @@ class TestHemisphereScan:
 
 class TestDiscordMeasures:
     def test_pure_discord_is_entanglement_entropy(self):
-        ds, _ = sd.normal_discord(sd.pure_schmidt(0.2))
+        ds, _ = sd.super_discord(sd.pure_schmidt(0.2), INFINITY)
         assert ds == pytest.approx(binary_entropy(0.2), abs=1e-8)
 
     def test_product_state_zero_discord(self):
         rho = tensor(np.diag([0.2, 0.8]), np.diag([0.3, 0.7]))
-        ds, _ = sd.normal_discord(rho)
+        ds, _ = sd.super_discord(rho, INFINITY)
         assert ds == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_discord_one(self):
-        ds, _ = sd.normal_discord(sd.werner(1.0))
+        ds, _ = sd.super_discord(sd.werner(1.0), INFINITY)
         assert ds == pytest.approx(1.0, abs=1e-8)
 
     def test_bell_super_discord_x02(self):
-        dw, _ = sd.super_discord(sd.bell(), 0.2)
+        dw, _ = sd.super_discord(sd.pure_schmidt(0.5), 0.2)
         expected = 1.0 + binary_entropy((1 + math.tanh(0.2)) / 2)
         assert dw == pytest.approx(expected, abs=1e-8)
         assert dw == pytest.approx(1.9717, abs=1e-3)
@@ -263,16 +265,28 @@ class TestDiscordMeasures:
         assert dw == pytest.approx(expected, abs=1e-8)
 
     def test_extra_correlation_headline(self):
-        delta = sd.extra_correlation(sd.pure_schmidt(0.2), 0.2)
+        delta = sd.analyze(sd.pure_schmidt(0.2), 0.2).delta
         assert delta == pytest.approx(0.7010, abs=1e-3)
 
     def test_extra_correlation_vanishes_at_infinity(self):
-        assert sd.extra_correlation(sd.random_state(3), INFINITY) == pytest.approx(0.0, abs=1e-9)
+        assert sd.analyze(sd.random_state(3), INFINITY).delta == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("x", [0.2, 0.8])
     def test_bell_extra_correlation_closed_form(self, x):
-        delta = sd.extra_correlation(sd.bell(), x)
+        delta = sd.analyze(sd.pure_schmidt(0.5), x).delta
         assert delta == pytest.approx(binary_entropy((1 + math.tanh(x)) / 2), abs=1e-8)
+
+    def test_readme_library_sketch(self):
+        # the sketch runs against the public API, and its commented values hold
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        [sketch] = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        names = {}
+        exec(sketch, names)
+        rho, rec = names["rho"], names["rec"]
+        assert names["delta"] == pytest.approx(0.70102, abs=1e-5)
+        assert rec.post_super_discord == pytest.approx(0.70102, abs=1e-5)
+        assert rec.gap < 1e-12
+        assert rec.report == sd.analyze(rho, x=0.2)
 
 
 PAULIS = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
@@ -313,7 +327,7 @@ class TestAnalyze:
         assert rep.mutual_info + 1e-6 >= rep.super_discord >= rep.discord - 1e-6 >= -1e-6
 
     def test_negative_conditional_entropy_for_entangled(self):
-        rep = sd.analyze(sd.bell(), 0.5)
+        rep = sd.analyze(sd.pure_schmidt(0.5), 0.5)
         assert rep.conditional_entropy_qq == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -332,7 +346,7 @@ class TestResurrection:
         assert rec.coincidence
 
     def test_bell(self):
-        rec = sd.verify_resurrection(sd.bell(), 0.4)
+        rec = sd.verify_resurrection(sd.pure_schmidt(0.5), 0.4)
         assert rec.gap <= 1e-6
         assert rec.coincidence
         assert rec.post_super_discord == pytest.approx(
@@ -352,11 +366,11 @@ class TestResurrection:
 
     def test_rejects_bad_strength(self):
         with pytest.raises(ValueError):
-            sd.verify_resurrection(sd.bell(), 0.0)
+            sd.verify_resurrection(sd.pure_schmidt(0.5), 0.0)
         with pytest.raises(ValueError):
-            sd.verify_resurrection(sd.bell(), INFINITY)
+            sd.verify_resurrection(sd.pure_schmidt(0.5), INFINITY)
         with pytest.raises(DomainError):
-            sd.verify_resurrection(sd.bell(), math.nan)
+            sd.verify_resurrection(sd.pure_schmidt(0.5), math.nan)
 
     @pytest.mark.parametrize(
         "rho, x", [(sd.random_state(12, dim_a=2, rank=4), 1.0), (sd.werner(0.6), 0.5)]
@@ -372,7 +386,7 @@ class TestMinimizationCount:
         assert minimize_calls == [INFINITY, 0.5]
 
     def test_extra_correlation(self, minimize_calls):
-        sd.extra_correlation(sd.random_state(2), 0.5, FAST_CFG)
+        sd.analyze(sd.random_state(2), 0.5, FAST_CFG).delta
         assert minimize_calls == [INFINITY, 0.5]
 
     def test_verify_resurrection(self, minimize_calls):
@@ -386,7 +400,7 @@ class TestMinimizationCount:
         assert (rep.delta, rep.weak_basis) == (0.0, rep.strong_basis)
 
     def test_extra_correlation_at_infinity(self, minimize_calls):
-        sd.extra_correlation(sd.random_state(2), INFINITY, FAST_CFG)
+        sd.analyze(sd.random_state(2), INFINITY, FAST_CFG).delta
         assert minimize_calls == [INFINITY]
 
     # a state object keeps every minimum found for it, keyed by (x, cfg)
@@ -399,7 +413,7 @@ class TestMinimizationCount:
     def test_discords_after_analyze(self, minimize_calls):
         rho = sd.random_state(2)
         rep = sd.analyze(rho, 0.5, FAST_CFG)
-        assert sd.normal_discord(rho, FAST_CFG) == (rep.discord, rep.strong_basis)
+        assert sd.super_discord(rho, INFINITY, FAST_CFG) == (rep.discord, rep.strong_basis)
         assert sd.super_discord(rho, INFINITY, FAST_CFG) == (rep.discord, rep.strong_basis)
         assert sd.super_discord(rho, 0.5, FAST_CFG) == (rep.super_discord, rep.weak_basis)
         assert minimize_calls == [INFINITY, 0.5]
@@ -445,7 +459,7 @@ class TestEnsembleProperties:
     def test_sandwich(self, seed):
         rho = sd.random_state(seed)
         mi = sd.mutual_information(rho)
-        ds, _ = sd.normal_discord(rho, FAST_CFG)
+        ds, _ = sd.super_discord(rho, INFINITY, FAST_CFG)
         for x in (0.1, 0.5, 1.0):
             dw, _ = sd.super_discord(rho, x, FAST_CFG)
             assert mi + 1e-6 >= dw >= ds - 1e-6 >= -1e-6
@@ -461,7 +475,7 @@ class TestEnsembleProperties:
         rho = sd.random_state(seed)
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = sd.validate(u @ rho.entries @ u.conj().T, dim_a=2)
-        assert sd.normal_discord(rotated)[0] == pytest.approx(sd.normal_discord(rho)[0], abs=1e-6)
+        assert sd.super_discord(rotated, INFINITY)[0] == pytest.approx(sd.super_discord(rho, INFINITY)[0], abs=1e-6)
         assert sd.super_discord(rotated, 0.5)[0] == pytest.approx(
             sd.super_discord(rho, 0.5)[0], abs=1e-6
         )
@@ -588,7 +602,7 @@ class TestKernelPort:
         rho = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a))
         for g, d in kernel_points(dim_a):
             b = QubitBasis(g, d)
-            strong = sd.strong_conditional_entropy(rho, b)
+            strong = sd.weak_conditional_entropy(rho, b, INFINITY)
             assert strong == sd.weak_conditional_entropy(rho, b, INFINITY), (g, d)
             assert strong == discord._batched_weak_ce(rho.as_tensor(), INFINITY, np.array([g]), np.array([d]))[0]
 
@@ -600,7 +614,7 @@ class TestKernelPort:
             cases = [(sd.projective_outcomes(rho, b), sd.projectors(b))]
             for x in (0.0, 0.1, 2.0, INFINITY):
                 pair = sd.weak_pair(b, x)
-                cases.append((sd.weak_outcomes(rho, pair), (pair.op_plus, pair.op_minus)))
+                cases.append((sd.weak_outcomes(rho, pair), (pair[0], pair[1])))
             for outcomes, ops in cases:
                 for o, op in zip(outcomes, ops):
                     m = np.einsum("ab,ibjc,ca->ij", op, rho.as_tensor(), op)

@@ -6,18 +6,17 @@ import pytest
 import superdiscord as sd
 from superdiscord import families
 from superdiscord.errors import BadDimension, BadRank, DomainError
-from superdiscord.measure import COMPUTATIONAL, QubitBasis
+from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis
 
 from oracles import binary_entropy, oracle_post_pure_wce, oracle_pure_delta, oracle_werner
 
 
 PUBLIC_NAMES = [
     "DensityMatrix", "DiscordReport", "INFINITY", "MeasurementOutcome", "OptimizerConfig", "QubitBasis",
-    "ResurrectionRecord", "WeakOperatorPair", "analyze", "bell", "extra_correlation",
-    "minimize_conditional_entropy", "mutual_information", "normal_discord", "partial_trace_a",
-    "partial_trace_b", "project_state", "projective_outcomes", "projectors", "pure_schmidt",
-    "quantum_conditional_entropy", "random_state", "strong_conditional_entropy", "super_discord",
-    "validate", "verify_resurrection", "von_neumann_entropy", "weak_conditional_entropy", "weak_outcomes",
+    "ResurrectionRecord", "analyze", "minimize_conditional_entropy", "mutual_information",
+    "partial_trace_a", "partial_trace_b", "project_state", "projective_outcomes", "projectors",
+    "pure_schmidt", "quantum_conditional_entropy", "random_state", "super_discord", "validate",
+    "verify_resurrection", "von_neumann_entropy", "weak_conditional_entropy", "weak_outcomes",
     "weak_pair", "werner",
 ]
 
@@ -38,7 +37,7 @@ class TestConstructors:
         assert np.abs(rho.entries - expected).max() < 1e-12
 
     def test_pure_maximally_entangled(self):
-        ds, _ = sd.normal_discord(sd.pure_schmidt(0.5))
+        ds, _ = sd.super_discord(sd.pure_schmidt(0.5), INFINITY)
         assert ds == pytest.approx(1.0, abs=1e-8)
 
     def test_pure_bad_params(self):
@@ -84,6 +83,18 @@ class TestConstructors:
         with pytest.raises(BadDimension, match="dim_a"):
             sd.random_state(1, dim_a=dim_a)
 
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [({"seed": 1.5}, DomainError), ({"seed": True}, DomainError),
+         ({"seed": 1, "dim_a": 2.0}, BadDimension), ({"seed": 1, "dim_a": True}, BadDimension),
+         ({"seed": 1, "rank": 4.0}, BadRank), ({"seed": 1, "rank": True}, BadRank)],
+        ids=["float-seed", "bool-seed", "float-dim_a", "bool-dim_a", "float-rank", "bool-rank"],
+    )
+    def test_random_rejects_non_int(self, kwargs, error):
+        # a float or bool would otherwise reach numpy as a TypeError, or build a state
+        with pytest.raises(error, match="must be an int"):
+            sd.random_state(**kwargs)
+
 
 class TestPureDeltaOracle:
     def test_headline_value(self):
@@ -102,7 +113,7 @@ class TestPureDeltaOracle:
     def test_matches_numerical_extra_correlation(self, lam0, x):
         thetas = np.linspace(0.0, math.pi, 2001)
         oracle_min = float(np.min(oracle_pure_delta(lam0, x, thetas)))
-        numeric = sd.extra_correlation(sd.pure_schmidt(lam0), x)
+        numeric = sd.analyze(sd.pure_schmidt(lam0), x).delta
         assert numeric == pytest.approx(oracle_min, abs=1e-6)
 
 

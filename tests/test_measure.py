@@ -58,21 +58,21 @@ class TestQubitBasis:
 class TestWeakPair:
     def test_zero_strength_is_scaled_identity(self, rng):
         pair = sd.weak_pair(random_basis(rng), 0.0)
-        assert np.abs(pair.op_plus - np.eye(2) / math.sqrt(2)).max() < 1e-12
-        assert np.abs(pair.op_minus - np.eye(2) / math.sqrt(2)).max() < 1e-12
+        assert np.abs(pair[0] - np.eye(2) / math.sqrt(2)).max() < 1e-12
+        assert np.abs(pair[1] - np.eye(2) / math.sqrt(2)).max() < 1e-12
 
     def test_projective_limit(self):
         pair = sd.weak_pair(COMPUTATIONAL, INFINITY)
-        assert np.allclose(pair.op_minus, np.diag([1.0, 0.0]), atol=1e-15)
-        assert np.allclose(pair.op_plus, np.diag([0.0, 1.0]), atol=1e-15)
+        assert np.allclose(pair[1], np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(pair[0], np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_amplitudes_at_x02(self):
         # scalar evaluation, tanh 0.2 ~ 0.197375
         pair = sd.weak_pair(COMPUTATIONAL, 0.2)
         a_plus = math.sqrt((1 - math.tanh(0.2)) / 2)
         a_minus = math.sqrt((1 + math.tanh(0.2)) / 2)
-        assert np.allclose(pair.op_plus, np.diag([a_plus, a_minus]), atol=1e-15)
-        assert np.allclose(pair.op_minus, np.diag([a_minus, a_plus]), atol=1e-15)
+        assert np.allclose(pair[0], np.diag([a_plus, a_minus]), atol=1e-15)
+        assert np.allclose(pair[1], np.diag([a_minus, a_plus]), atol=1e-15)
 
     def test_negative_strength_rejected(self):
         for x in (-1.0, math.nan):
@@ -91,13 +91,13 @@ class TestWeakPair:
         plus, minus = measure.weak_operators(x, gammas, deltas)
         for i, (g, d) in enumerate(zip(gammas, deltas)):
             pair = sd.weak_pair(QubitBasis(g, d), x)
-            assert (pair.op_plus == plus[i]).all() and (pair.op_minus == minus[i]).all()
+            assert (pair[0] == plus[i]).all() and (pair[1] == minus[i]).all()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_completeness_and_commutation(self, seed):
         rng = np.random.default_rng(seed)
         pair = sd.weak_pair(random_basis(rng), rng.uniform(0, 3))
-        p, m = pair.op_plus, pair.op_minus
+        p, m = pair[0], pair[1]
         assert np.abs(p.conj().T @ p + m.conj().T @ m - np.eye(2)).max() < 1e-12
         assert np.abs(p @ m - m @ p).max() < 1e-12
 
@@ -105,9 +105,9 @@ class TestWeakPair:
     @pytest.mark.parametrize("y", [0.1, 0.3, 0.7])
     def test_composition(self, x, y, rng):
         b = random_basis(rng)
-        px = sd.weak_pair(b, x).op_plus
-        py = sd.weak_pair(b, y).op_plus
-        pxy = sd.weak_pair(b, x + y).op_plus
+        px = sd.weak_pair(b, x)[0]
+        py = sd.weak_pair(b, y)[0]
+        pxy = sd.weak_pair(b, x + y)[0]
         prod = px @ py
         assert np.abs(prod / np.linalg.norm(prod) - pxy / np.linalg.norm(pxy)).max() < 1e-10
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
-from superdiscord.errors import BadDimension, NotFinite, NotHermitian, NotPositive, TraceNotOne
+from superdiscord.errors import BadDimension, DomainError, NotFinite, NotHermitian, NotPositive, TraceNotOne
 from superdiscord.qstate import DensityMatrix, spectrum
 
 from conftest import random_unitary
@@ -23,7 +23,7 @@ def bell_matrix():
 class TestValidate:
     def test_maximally_mixed(self):
         rho = sd.validate(np.eye(4) / 4, dim_a=2)
-        assert rho.dim_a == 2 and rho.dim_b == 2
+        assert rho.dim_a == 2
         assert abs(np.trace(rho.entries) - 1) < 1e-12
 
     def test_negative_eigenvalue_rejected(self):
@@ -57,8 +57,6 @@ class TestValidate:
             sd.validate(m, dim_a=2)
 
     def test_bad_dimensions(self):
-        with pytest.raises(BadDimension):
-            sd.validate(np.eye(4) / 4, dim_a=2, dim_b=3)
         with pytest.raises(BadDimension):
             sd.validate(np.eye(6) / 6, dim_a=2)
 
@@ -144,6 +142,18 @@ class TestEntropy:
         assert (np.diff(s) <= 0).all()
         assert s.min() >= 0.0
         assert abs(s.sum() - 1.0) < 1e-9
+
+    def test_spectrum_rejects_negative_eigenvalue(self):
+        with pytest.raises(NotPositive, match="below"):
+            spectrum(np.diag([0.5, -1e-6]))
+
+    def test_spectrum_rejects_eigenvalue_above_one(self):
+        with pytest.raises(DomainError, match="exceeds 1"):
+            spectrum(np.diag([1.0 + 1e-6, 0.0]))
+
+    def test_zero_spectrum_entropy_is_zero(self):
+        # a zero-weight block has no nonzero eigenvalue to sum over
+        assert sd.von_neumann_entropy(np.zeros((2, 2))) == 0.0
 
 
 class TestMutualInformation:
