@@ -89,7 +89,7 @@ def states(families, qstate) -> list[tuple[str, object]]:
         ("werner z=0", families.werner(0.0)),
         ("pure lambda0=0.2", families.pure_schmidt(0.2)),
     ]
-    for dim_a in (2, 3, 4, 5):
+    for dim_a in (2, 3, 4, 5, 8):  # 8 is the dimension of the benchmark's qudit sweep
         seed = 20 + dim_a
         out.append((f"ginibre seed={seed} dim_a={dim_a}", qstate.validate(ginibre(seed, dim_a), dim_a)))
     return out

@@ -71,10 +71,12 @@ def load_state_file(path: str) -> DensityMatrix:
     if type(data["dim_b"]) is not int or data["dim_b"] != 2:  # B is a qubit; 2.0 and true are no dimension
         raise BadDimension(f"state file 'dim_b' must be the integer 2, got {data['dim_b']!r}")
     try:
-        m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise QuantumStateError(f"state file 're' and 'im' must be numeric: {exc}") from exc
-    return qstate.validate(m, dim_a=data["dim_a"])
+    if re.ndim != 2 or re.shape != im.shape:  # checked before adding them, which would broadcast
+        raise BadDimension(f"state file 're' and 'im' must be matrices of one shape, got {re.shape} and {im.shape}")
+    return qstate.validate(re + 1j * im, dim_a=data["dim_a"])
 
 
 # each --state family: its option, that option's default, and its constructor in

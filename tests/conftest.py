@@ -28,9 +28,9 @@ def minimize_calls(monkeypatch):
     strengths = []
     inner = discord._minimize
 
-    def counting(rho, x, cfg):
+    def counting(rho, x, cfg, axis=None):
         strengths.append(x)
-        return inner(rho, x, cfg)
+        return inner(rho, x, cfg, axis)
 
     monkeypatch.setattr(discord, "_minimize", counting)
     return strengths

@@ -368,6 +368,21 @@ class TestErrorPaths:
         assert run(capsys, "report", "--state", f"file:{path}") == (2, "")
 
     @pytest.mark.parametrize(
+        "dim_a, re, im",
+        [
+            (1, (np.eye(2) / 2).tolist(), 0),
+            (1, (np.eye(2) / 2).tolist(), [[0]]),
+            # a row plus a column would broadcast into the 4x4 matrix of 0.25s, a valid pure state
+            (2, [[0.25] * 4], [[0]] * 4),
+        ],
+        ids=["scalar-im", "one-by-one-im", "row-plus-column"],
+    )
+    def test_entries_must_be_matrices_of_one_shape(self, capsys, tmp_path, dim_a, re, im):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim_a": dim_a, "dim_b": 2, "re": re, "im": im}))
+        assert run(capsys, "report", "--state", f"file:{path}") == (2, "")
+
+    @pytest.mark.parametrize(
         "axis, state, start, stop",
         [("x", "random", "1", "inf"), ("x", "random", "nan", "1"),
          ("z", "werner", "0", "inf"), ("lambda0", "pure", "0", "nan")],
