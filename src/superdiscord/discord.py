@@ -118,29 +118,19 @@ def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.
 
 
 def _lattice_values(
-    rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig, axis=None
+    rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig
 ) -> np.ndarray:
-    """`_batched_weak_ce` on the row-major lattice, evaluating only the points that decide its summary.
+    """`_batched_weak_ce` on the row-major lattice, evaluated once per measurement.
 
-    Contract, with or without `axis`: the min, max, argmin and first FLAT_TOL
-    tie of the result equal the full scan's with ==. Every evaluated point
-    takes the kernel's multi-row path, as the full scan's do, and every other
-    point gets an evaluated value that can be none of the four.
-
-    Without an axis the scan runs once per measurement. The measurement along
-    -n is the one along n with its outcomes swapped, so both have one value.
-    For even grid_delta the antipode of row k, column j is row G-1-k, column
-    j + D/2 (mod D), and the rows k < ceil(G/2) hold an antipode of every lower
-    point. Those rows are evaluated; a lower point only when its antipode lies
-    within FLAT_TOL of their min or max. Every other lower point gets its
-    antipode's value, strictly inside (min, max). Odd grid_delta has no
-    antipodes on the lattice and is scanned in full.
-
-    `axis` is the Bloch vector of the basis a state was decohered in, passed
-    only for such a state; see `_axial_values`.
+    The measurement along -n is the one along n with its outcomes swapped, so
+    both have one value. For even grid_delta the antipode of row k, column j is
+    row G-1-k, column j + D/2 (mod D), and the rows k < ceil(G/2) hold an
+    antipode of every lower point. Those rows are evaluated; a lower point only
+    when its antipode lies within FLAT_TOL of their min or max. Every other
+    lower point gets its antipode's value, strictly inside (min, max), so the
+    min, max, argmin and first FLAT_TOL tie equal the full scan's with ==.
+    Odd grid_delta has no antipodes on the lattice and is scanned in full.
     """
-    if axis is not None:
-        return _axial_values(rho4, x, gg, dd, cfg, axis)
     n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
     if n_delta % 2:
         return _batched_weak_ce(rho4, x, gg, dd)
@@ -161,6 +151,11 @@ def _axial_values(
     rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig, axis
 ) -> np.ndarray:
     """The lattice of a state decohered along `axis`, evaluated from both ends of c = |m·axis|.
+
+    Contract, as for `_lattice_values`: the min, max, argmin and first
+    FLAT_TOL tie of the result equal the full scan's with ==. Every evaluated
+    point takes the kernel's multi-row path, as the full scan's do, and every
+    other point gets an evaluated value that can be none of the four.
 
     Decohered along n, a state's R_k = Tr_B[(I⊗σ_k)ρ] is (n·R)n, so A's
     conditional states along m are (ρ_A ∓ t(m·n)(n·R))/2 and S_w(m) is an
@@ -317,7 +312,7 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> 
     """The basis minimizing S_w(rho|.) at x: the lattice's best point, then refined.
 
     `axis`, the Bloch vector of the basis rho was decohered in, lets the
-    lattice scan skip points that cannot decide its summary (`_lattice_values`);
+    lattice scan skip points that cannot decide its summary (`_axial_values`);
     the result is the same with or without it.
     """
     rho4 = rho.as_tensor()
@@ -325,10 +320,7 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> 
     deltas = np.linspace(0.0, 2 * math.pi, cfg.grid_delta, endpoint=False)
     gg, dd = np.meshgrid(gammas, deltas, indexing="ij")
     gg, dd = gg.ravel(), dd.ravel()
-    if axis is None:  # five arguments, so a full scan of that signature can stand in for the lattice
-        vals = _lattice_values(rho4, x, gg, dd, cfg)
-    else:
-        vals = _lattice_values(rho4, x, gg, dd, cfg, axis)
+    vals = _lattice_values(rho4, x, gg, dd, cfg) if axis is None else _axial_values(rho4, x, gg, dd, cfg, axis)
     vmin = float(vals.min())
     spread = float(vals.max()) - vmin
     # ties broken toward smallest gamma, then delta (row-major, gamma outer)

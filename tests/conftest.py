@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,12 @@ def random_unitary(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def bloch(basis):
+    """The Bloch vector of a QubitBasis."""
+    g, d = basis.gamma, basis.delta
+    return (math.sin(g) * math.cos(d), math.sin(g) * math.sin(d), math.cos(g))
 
 
 @pytest.fixture

@@ -5,8 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import superdiscord as sd
 from superdiscord import discord, measure
@@ -14,7 +12,7 @@ from superdiscord.discord import DEFAULT_CONFIG, OptimizerConfig
 from superdiscord.errors import DomainError, NegativeStrength, NoConvergence
 from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis, same_basis
 
-from conftest import random_unitary
+from conftest import bloch, random_unitary
 from oracles import binary_entropy, tensor
 
 FAST_CFG = OptimizerConfig(grid_gamma=32, grid_delta=32)
@@ -233,11 +231,6 @@ class TestHemisphereScan:
         assert sum(kernel_batches) == 4096
 
 
-def bloch(basis):
-    g, d = basis.gamma, basis.delta
-    return (math.sin(g) * math.cos(d), math.sin(g) * math.sin(d), math.cos(g))
-
-
 def decohering_bases(seed):
     """A random basis, both poles and an equator point."""
     rng = np.random.default_rng(200 + seed)
@@ -249,7 +242,7 @@ AXIAL_GRIDS = [(64, 64), (9, 7), (6, 6), (3, 1)]
 
 
 class TestAxialScan:
-    """`_lattice_values` with a decohering axis against the full `_batched_weak_ce` lattice: equal with ==."""
+    """`_axial_values` against the full `_batched_weak_ce` lattice: equal with ==."""
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("dim_a", range(1, 9))
@@ -259,7 +252,7 @@ class TestAxialScan:
             rho4 = sd.project_state(rho, basis).as_tensor()
             for n_gamma, n_delta in AXIAL_GRIDS:
                 gg, dd = lattice(n_gamma, n_delta)
-                got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(basis))
+                got = discord._axial_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(basis))
                 want = discord._batched_weak_ce(rho4, x, gg, dd)
                 assert lattice_summary(got) == lattice_summary(want), (basis, n_gamma, n_delta)
 
@@ -270,7 +263,7 @@ class TestAxialScan:
         rho4 = sd.project_state(sd.werner(z), COMPUTATIONAL).as_tensor()
         for n_gamma, n_delta in AXIAL_GRIDS:
             gg, dd = lattice(n_gamma, n_delta)
-            got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(COMPUTATIONAL))
+            got = discord._axial_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(COMPUTATIONAL))
             assert lattice_summary(got) == lattice_summary(discord._batched_weak_ce(rho4, x, gg, dd))
 
     @staticmethod
@@ -312,47 +305,6 @@ class TestAxialScan:
             post = sd.project_state(rho, basis)
             for x, cfg in cases:
                 assert discord._minimize(post, x, cfg, bloch(basis)) == discord._minimize(post, x, cfg)
-
-
-def rotate(v, axis, angle):
-    """v rotated by angle about the unit vector axis (Rodrigues)."""
-    v, axis = np.asarray(v), np.asarray(axis)
-    return v * math.cos(angle) + np.cross(axis, v) * math.sin(angle) + axis * (axis @ v) * (1 - math.cos(angle))
-
-
-def basis_of(v):
-    """The QubitBasis whose Bloch vector is the unit vector v."""
-    return QubitBasis(math.acos(min(1.0, max(-1.0, v[2]))), math.atan2(v[1], v[0]) % (2 * math.pi))
-
-
-ANGLES = st.tuples(st.floats(0, math.pi), st.floats(0, 2 * math.pi))
-
-
-# On a failure Hypothesis imports its patch writer, whose libcst import warns; as an error
-# that warning would abort the session with an INTERNALERROR instead of reporting the example.
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-class TestMeasuredStateSymmetry:
-    """On ρ̃ = project_state(ρ, n), S_w along m depends on |m·n| alone and never rises with it."""
-
-    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
-    @given(seed=st.integers(0, 10**6), dim_a=st.integers(1, 4), x=st.floats(0.05, 4.0),
-           n=ANGLES, m=ANGLES, angle=st.floats(0, 2 * math.pi))
-    def test_rotation_about_the_axis_keeps_the_entropy(self, seed, dim_a, x, n, m, angle):
-        axis = np.array(bloch(QubitBasis(*n)))
-        post = sd.project_state(sd.random_state(seed, dim_a=dim_a, rank=2 * dim_a), QubitBasis(*n))
-        m1 = np.array(bloch(QubitBasis(*m)))
-        m2 = rotate(m1, axis, angle)
-        s1 = sd.weak_conditional_entropy(post, basis_of(m1), x)
-        assert abs(sd.weak_conditional_entropy(post, basis_of(m2), x) - s1) <= 1e-12
-
-    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
-    @given(seed=st.integers(0, 10**6), dim_a=st.integers(1, 4), x=st.floats(0.05, 4.0),
-           n=ANGLES, m1=ANGLES, m2=ANGLES)
-    def test_entropy_never_rises_with_alignment(self, seed, dim_a, x, n, m1, m2):
-        axis = np.array(bloch(QubitBasis(*n)))
-        post = sd.project_state(sd.random_state(seed, dim_a=dim_a, rank=2 * dim_a), QubitBasis(*n))
-        near, far = sorted((QubitBasis(*m1), QubitBasis(*m2)), key=lambda b: -abs(axis @ bloch(b)))
-        assert sd.weak_conditional_entropy(post, near, x) <= sd.weak_conditional_entropy(post, far, x) + 1e-12
 
 
 class TestDiscordMeasures:
