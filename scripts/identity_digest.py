@@ -33,11 +33,12 @@ STRENGTHS = [0.0, 0.1, 0.5, 2.0, float("inf")]
 LATTICES = [(24, 24), (9, 7), (6, 6)]
 
 
-def ginibre(seed: int, dim_a: int) -> np.ndarray:
-    """A full-rank state on dim_a x 2, built here so that it does not depend on the tree."""
+def ginibre(seed: int, dim_a: int, rank: int | None = None) -> np.ndarray:
+    """A state on dim_a x 2 of the given rank (full by default), built here so that it does not depend on the tree."""
     d = 2 * dim_a
+    shape = (d, d if rank is None else rank)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     m = g @ g.conj().T
     return m / np.trace(m).real
 
@@ -88,6 +89,10 @@ def states(families, qstate) -> list[tuple[str, object]]:
         ("werner z=0.6", families.werner(0.6)),
         ("werner z=0", families.werner(0.0)),
         ("pure lambda0=0.2", families.pure_schmidt(0.2)),
+        # the dim_a = 2 lattice screen where its ties and its entropy near zero are tightest:
+        # a minimum tied on a pole, and conditional states with zero eigenvalues
+        ("classical diag(0.2, 0, 0, 0.8)", qstate.validate(np.diag([0.2, 0.0, 0.0, 0.8]), 2)),
+        ("ginibre seed=40 dim_a=2 rank=1", qstate.validate(ginibre(40, 2, rank=1), 2)),
     ]
     for dim_a in (2, 3, 4, 5, 8):  # 8 is the dimension of the benchmark's qudit sweep
         seed = 20 + dim_a

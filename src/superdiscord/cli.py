@@ -15,7 +15,7 @@ import numpy as np
 
 from . import discord, families, measure, qstate
 from .discord import OptimizerConfig
-from .errors import BadDimension, DomainError, NoConvergence, QuantumStateError
+from .errors import BadDimension, DomainError, NoConvergence, NotFinite, QuantumStateError
 from .measure import QubitBasis
 from .qstate import DensityMatrix
 
@@ -60,6 +60,18 @@ def _basis_dict(b: QubitBasis) -> dict:
     return {"gamma": float(b.gamma), "delta": float(b.delta)}
 
 
+def _json_numbers(value) -> bool:
+    """Whether every leaf of the nested lists in `value` is a JSON number, which loads as an int or a float."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(item)
+        elif type(item) not in (int, float):  # bool, str, None and dict are no number
+            return False
+    return True
+
+
 def load_state_file(path: str) -> DensityMatrix:
     with open(path) as fh:
         data = json.load(fh)
@@ -70,10 +82,14 @@ def load_state_file(path: str) -> DensityMatrix:
             raise QuantumStateError(f"state file missing key '{key}'")
     if type(data["dim_b"]) is not int or data["dim_b"] != 2:  # B is a qubit; 2.0 and true are no dimension
         raise BadDimension(f"state file 'dim_b' must be the integer 2, got {data['dim_b']!r}")
+    if not all(_json_numbers(data[key]) for key in ("re", "im")):  # numpy would convert true and "0.5"
+        raise QuantumStateError("state file 're' and 'im' entries must be JSON numbers")
     try:
         re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise QuantumStateError(f"state file 're' and 'im' must be numeric: {exc}") from exc
+    except ValueError as exc:  # rows of unequal length
+        raise BadDimension(f"state file 're' and 'im' must be rectangular: {exc}") from exc
+    except OverflowError as exc:  # a JSON integer beyond float range
+        raise NotFinite(f"state file 're' and 'im' entries must be finite: {exc}") from exc
     if re.ndim != 2 or re.shape != im.shape:  # checked before adding them, which would broadcast
         raise BadDimension(f"state file 're' and 'im' must be matrices of one shape, got {re.shape} and {im.shape}")
     return qstate.validate(re + 1j * im, dim_a=data["dim_a"])

@@ -3,25 +3,33 @@ the post-measurement resurrection check.
 
 The basis minimization is a two-phase scheme: exhaustive evaluation on a
 (gamma, delta) lattice, then Nelder-Mead refinement from the best lattice
-point. Lattice evaluation is vectorized over the grid points, and scans each
-measurement once: n and -n are one measurement with its outcomes swapped, so
-an even grid_delta evaluates one hemisphere (see `_lattice_values`). The
-resurrection check's measured state ρ̃, decohered along n_s, has a landscape
-that depends on c = |m·n_s| alone and never rises with c, so its scan
-evaluates the lattice from both ends of c and stops once no point left can
-be the minimum, a tie or the maximum (see `_axial_values`); both scans give
-the full scan's summary bit for bit. One
-kernel, `_batched_weak_ce`, gives every conditional entropy, bit for bit: the
-lattice, the refinement's objective and `weak_conditional_entropy` (strong at x = INFINITY).
-It takes both outcomes P(x), P(-x) in one pass, on a batch axis with their
-rows never stacked, so a refinement point costs one eigvalsh and one entropy
-pass; the objective calls it directly, without building a QubitBasis.
-The refinement is an in-package port of scipy's default
-Nelder-Mead that keeps its iterates bit for bit, so numpy is the only runtime
-dependency. Its constants are fixed, not options: angle tolerance 1e-8, value
-tolerance FLAT_TOL and at most MAX_REFINE_ITERS iterations, the settings every
-reported number has been computed with. It has no evaluation budget, because
-the iteration cap already bounds the evaluations (see `_nm_minimize`).
+point. Each lattice scan gives the full scan's min, max, argmin and first tie
+bit for bit, but sends the kernel only the points that can decide them. At
+dim_a = 2, A's conditional states have a closed form whose 2×2 eigenvalues
+screen the whole lattice within rounding, and only the points near the
+screen's min or max go to the kernel (see `_screened_values`). At other
+dim_a the scan evaluates each measurement once: n and -n are one measurement
+with its outcomes swapped, so an even grid_delta evaluates one hemisphere
+(see `_lattice_values`). The resurrection check's measured state ρ̃,
+decohered along n_s, has a landscape that depends on c = |m·n_s| alone and
+never rises with c, so its scan evaluates the lattice from both ends of c
+and stops once no point left can be the minimum, a tie or the maximum (see
+`_axial_values`). One kernel, `_batched_weak_ce`, gives every reported
+conditional entropy, bit for bit: the lattice, the refinement's objective
+and `weak_conditional_entropy` (strong at x = INFINITY). It takes both
+outcomes P(x), P(-x) in one pass, on a batch axis with their rows never
+stacked, so a refinement point costs one eigvalsh and one entropy pass; the
+objective calls it directly, without building a QubitBasis, with its points
+on a batch axis so that each gets the value it would get alone. The
+refinement is an in-package port of scipy's default Nelder-Mead that keeps
+its iterates bit for bit, so numpy is the only runtime dependency. Each of
+its iterations evaluates the reflected point and the inside contraction in
+one kernel call, and calls again only for an expansion, an outside
+contraction or a shrink; its evaluation count is still scipy's. Its
+constants are fixed, not options: angle tolerance 1e-8, value tolerance
+FLAT_TOL and at most MAX_REFINE_ITERS iterations, the settings every reported
+number has been computed with. It has no evaluation budget, because the
+iteration cap already bounds the evaluations (see `_nm_minimize`).
 """
 
 from __future__ import annotations
@@ -43,10 +51,11 @@ class OptimizerConfig:
 
     grid_gamma points span gamma in [0, pi], poles included, so at least 3 are
     needed for a point off the poles; grid_delta points span delta in [0, 2 pi).
-    An even grid_delta puts every point's antipode on the lattice, so only the
-    upper hemisphere is evaluated, plus the lower points that could tie its
-    min or max; an odd one is scanned in full. The lattice min, max and ties
-    are the full scan's either way.
+    At dim_a = 2 a closed-form screen picks the points the kernel evaluates.
+    Otherwise an even grid_delta puts every point's antipode on the lattice,
+    so only the upper hemisphere is evaluated, plus the lower points that
+    could tie its min or max; an odd one is scanned in full. The lattice min,
+    max and ties are the full scan's either way.
     """
 
     grid_gamma: int = 64
@@ -88,16 +97,19 @@ def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) ->
 
 
 def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Weak conditional entropy for a flat batch of (gamma, delta) bases.
+    """Weak conditional entropy for an array of (gamma, delta) bases, of the angles' shape.
 
     P(±x) come from `measure.weak_operators`, A's conditional states from
     `measure.conditional_blocks`, with the two outcomes on a batch axis and
     rows never stacked, so one trace, one eigvalsh and one entropy pass serve
-    both. The outcomes are added to zeros one after the other: a pure
-    conditional state gives -0.0 per outcome, and the sum stays +0.0.
+    both. A flat batch of n points is one matmul of n rows; angles of shape
+    (k, 1) put k points on a batch axis, so each takes the one-row path that a
+    lone point takes and gets its value bit for bit. The outcomes are added to
+    zeros one after the other: a pure conditional state gives -0.0 per
+    outcome, and the sum stays +0.0.
     """
     m = measure.conditional_blocks(rho4, measure.weak_operators(x, gammas, deltas))
-    p = np.real(np.einsum("kgii->kg", m))
+    p = np.real(np.einsum("...ii->...", m))
     lam = np.linalg.eigvalsh(m)
     # the blocks are freed and the pass works in place, so it holds no (2, n, dim_a)
     # float array besides lam and terms; a degenerate row's spectrum, clipped into
@@ -111,7 +123,7 @@ def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.
     np.log2(terms, out=terms)
     terms *= lam
     c = np.where(p > measure.DEGENERATE_PROB, -p * terms.sum(axis=-1), 0.0)
-    vals = np.zeros(len(gammas))
+    vals = np.zeros(gammas.shape)
     vals += c[0]
     vals += c[1]
     return vals
@@ -210,6 +222,68 @@ def _axial_values(
     return vals
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch_screen(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) -> np.ndarray:
+    """The weak conditional entropy at dim_a = 2 in closed form: the kernel's values within rounding.
+
+    B is a qubit, so A's unnormalized conditional states along n are
+    M(±x) = (ρ_A ∓ t n·R)/2, with R_k = Tr_B[(I⊗σ_k)ρ],
+    n = (sin γ cos δ, sin γ sin δ, cos γ) and t = tanh x, 1 at x = INFINITY
+    (cf. Luo, PRA 77, 042303 (2008)). The value sums both outcomes, so which
+    one takes which sign does not matter. A 2×2 M has the eigenvalues
+    p/2 ± |((M_00 − M_11)/2, M_01)| with p = Tr M, so each outcome costs a few
+    (n,) array operations, and the entropy clips and drops a degenerate
+    outcome as the kernel does. Its largest gap to `_batched_weak_ce` was
+    1.9e-14, over 153 states, 6 strengths and 4096 points each.
+    """
+    measure.weak_amplitudes(x)  # a negative or NaN x raises here, as in the kernel
+    rho_a = np.einsum("ibjb->ij", rho4)
+    r = np.einsum("ibjc,kcb->kij", rho4, PAULI)
+    # M's entries 00 and 11 and the real and imaginary parts of 01, as constants
+    # (from ρ_A) and as coefficients of n (from R), both halved; n's get t too
+    base = np.array([rho_a[0, 0].real, rho_a[1, 1].real, rho_a[0, 1].real, rho_a[0, 1].imag]) / 2
+    coef = np.stack([r[:, 0, 0].real, r[:, 1, 1].real, r[:, 0, 1].real, r[:, 0, 1].imag], axis=1)
+    sin_g = np.sin(gg)
+    tn = np.stack([sin_g * np.cos(dd), sin_g * np.sin(dd), np.cos(gg)], axis=1) @ coef
+    tn *= math.tanh(x) / 2
+    vals = np.zeros(len(gg))
+    for sign in (1.0, -1.0):
+        a, d, b_re, b_im = (base[k] - sign * tn[:, k] for k in range(4))
+        p = a + d
+        gap = np.sqrt(((a - d) / 2) ** 2 + b_re**2 + b_im**2) / np.maximum(p, 1e-300)
+        for q in (0.5 + gap, 0.5 - gap):  # the normalized eigenvalues
+            np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
+            vals -= np.where(p > measure.DEGENERATE_PROB, p * q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
+    return vals
+
+
+def _screened_values(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) -> np.ndarray:
+    """The lattice at dim_a = 2, with the kernel run only where its min, max or ties can lie.
+
+    Contract, as for `_lattice_values`: the min, max, argmin and first
+    FLAT_TOL tie of the result equal the full scan's with ==.
+
+    `_bloch_screen` gives every point's value within ε of the kernel's, with
+    ε ≤ 1.9e-14 measured, so the margins of 1e-8 exceed 2ε many times over.
+    Then every point whose kernel value is the min or within FLAT_TOL of it
+    has a screen value within FLAT_TOL + 1e-8 of the screen's min, and the
+    kernel's max lies on a point within 1e-8 of the screen's max. Those points
+    go to the kernel in one batch of rows, as in the full scan, and get its
+    values bit for bit. The screen's argmin and argmax are two points unless it
+    is flat, and then every point goes, so the batch never has fewer than two
+    rows. Every other point lies more than FLAT_TOL above the min and gets the
+    largest kernel value.
+    """
+    screen = _bloch_screen(rho4, x, gg, dd)
+    pick = np.flatnonzero((screen <= screen.min() + FLAT_TOL + 1e-8) | (screen >= screen.max() - 1e-8))
+    exact = _batched_weak_ce(rho4, x, gg[pick], dd[pick])
+    vals = np.full(len(gg), exact.max())
+    vals[pick] = exact
+    return vals
+
+
 @dataclass(frozen=True)
 class _NMResult:
     x: tuple[float, float]
@@ -232,6 +306,16 @@ def _nm_minimize(fun, x0) -> _NMResult:
     psi = sigma = 1/2, and vertices are stably sorted by value, NaN last, as
     numpy's argsort sorts three items.
 
+    `fun` maps a list of points to their values, so that points go to it
+    together: the three simplex points in one call; then, each iteration, the
+    reflected point and the inside contraction in one call, the step most
+    iterations take; the expansion or the outside contraction in a second call
+    only when the reflected value asks for it; and the two shrink points in
+    one call. An inside contraction that the step does not take is evaluated
+    and dropped. ``nfev`` counts the evaluations scipy's method makes, not
+    the points passed to `fun`, so every field is the same as with one point
+    per call, provided `fun` gives each point the value it would give alone.
+
     That maxfev never binds, so it is not checked: the simplex costs 3
     evaluations and each iteration at most 4 (reflect, contract, two shrink
     points), so nfev <= 3 + 4 * (maxiter - 1) < 4 * maxiter. Success means the
@@ -239,12 +323,9 @@ def _nm_minimize(fun, x0) -> _NMResult:
     tolerance alone holds at the end, as on a pole, where delta is degenerate
     and the vertices never meet xatol in it.
     """
-    nfev = 0
 
-    def f(p):
-        nonlocal nfev
-        nfev += 1
-        return float(fun(p))
+    def f(*points):
+        return [float(v) for v in fun(list(points))]
 
     def lin(a, p, b, q):
         return (a * p[0] + b * q[0], a * p[1] + b * q[1])
@@ -260,7 +341,8 @@ def _nm_minimize(fun, x0) -> _NMResult:
     x0 = (float(x0[0]), float(x0[1]))
     sim = [x0, ((1 + 0.05) * x0[0] if x0[0] != 0 else 0.00025, x0[1]),
            (x0[0], (1 + 0.05) * x0[1] if x0[1] != 0 else 0.00025)]
-    fsim = [f(v) for v in sim]
+    fsim = f(*sim)
+    nfev = 3
     sort()
 
     it = 1
@@ -270,32 +352,35 @@ def _nm_minimize(fun, x0) -> _NMResult:
             break
         xbar = ((s0[0] + sim[1][0]) / 2, (s0[1] + sim[1][1]) / 2)
         xr = lin(2, xbar, -1, s2)  # reflect
-        fxr = f(xr)
+        xcc = lin(0.5, xbar, 0.5, s2)  # contract inside, the step taken when fxr >= fsim[2]
+        fxr, fxcc = f(xr, xcc)
+        nfev += 1
         shrink = False
         if fxr < fsim[0]:
             xe = lin(3, xbar, -2, s2)  # expand
-            fxe = f(xe)
+            (fxe,) = f(xe)
+            nfev += 1
             sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[1]:
             sim[2], fsim[2] = xr, fxr
         elif fxr < fsim[2]:
             xc = lin(1.5, xbar, -0.5, s2)  # contract outside
-            fxc = f(xc)
+            (fxc,) = f(xc)
+            nfev += 1
             if fxc <= fxr:
                 sim[2], fsim[2] = xc, fxc
             else:
                 shrink = True
         else:
-            xcc = lin(0.5, xbar, 0.5, s2)  # contract inside
-            fxcc = f(xcc)
+            nfev += 1
             if fxcc < fsim[2]:
                 sim[2], fsim[2] = xcc, fxcc
             else:
                 shrink = True
         if shrink:
-            for j in (1, 2):
-                sim[j] = (s0[0] + 0.5 * (sim[j][0] - s0[0]), s0[1] + 0.5 * (sim[j][1] - s0[1]))
-                fsim[j] = f(sim[j])
+            sim[1:] = [(s0[0] + 0.5 * (v[0] - s0[0]), s0[1] + 0.5 * (v[1] - s0[1])) for v in sim[1:]]
+            fsim[1:] = f(*sim[1:])
+            nfev += 2
         it += 1
         sort()
     return _NMResult(sim[0], fsim[0], nfev, it < MAX_REFINE_ITERS, flat())
@@ -313,22 +398,30 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> 
 
     `axis`, the Bloch vector of the basis rho was decohered in, lets the
     lattice scan skip points that cannot decide its summary (`_axial_values`);
-    the result is the same with or without it.
+    the result is the same with or without it. Without one, dim_a = 2 takes
+    the closed-form screen (`_screened_values`) and other dim_a the
+    hemisphere scan (`_lattice_values`), with the same result either way.
     """
     rho4 = rho.as_tensor()
     gammas = np.linspace(0.0, math.pi, cfg.grid_gamma)
     deltas = np.linspace(0.0, 2 * math.pi, cfg.grid_delta, endpoint=False)
     gg, dd = np.meshgrid(gammas, deltas, indexing="ij")
     gg, dd = gg.ravel(), dd.ravel()
-    vals = _lattice_values(rho4, x, gg, dd, cfg) if axis is None else _axial_values(rho4, x, gg, dd, cfg, axis)
+    if axis is not None:
+        vals = _axial_values(rho4, x, gg, dd, cfg, axis)
+    elif rho.dim_a == 2:
+        vals = _screened_values(rho4, x, gg, dd)
+    else:
+        vals = _lattice_values(rho4, x, gg, dd, cfg)
     vmin = float(vals.min())
     spread = float(vals.max()) - vmin
     # ties broken toward smallest gamma, then delta (row-major, gamma outer)
     idx = int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])
     g_best, d_best, v_best = float(gg[idx]), float(dd[idx]), float(vals[idx])
 
-    def objective(p):
-        return _batched_weak_ce(rho4, x, np.array([p[0]]), np.array([p[1]]))[0]
+    def objective(points):
+        g, d = np.array(points).T[:, :, None]  # (k, 1): each point on a batch axis, as if alone
+        return _batched_weak_ce(rho4, x, g, d)[:, 0]
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
     if spread >= FLAT_TOL:

@@ -77,23 +77,25 @@ def weak_amplitudes(x: float) -> tuple[float, float]:
 
 
 def weak_operators(x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The (2, n, 2, 2) stack of P(x), P(-x) = a(±x) Pi_phi + a(∓x) Pi_phibar, one per (gamma, delta).
+    """The (2, *gammas.shape, 2, 2) stack of P(x), P(-x) = a(±x) Pi_phi + a(∓x) Pi_phibar, one per (gamma, delta).
 
     Pi_phi = |phi><phi| with |phi> as in `QubitBasis.ket`, and P(±x) is built as
     a(∓x) I + (a(±x) − a(∓x)) Pi_phi, so Pi_phibar = I − Pi_phi; both outcomes come
     from one broadcast over the coefficient pair, on axis 0, so
     ``plus, minus = weak_operators(...)`` unpacks them. `weak_amplitudes` checks x;
     x = INFINITY gives the projective limit P(x) = I − Pi_phi, P(-x) = Pi_phi.
+    The angles may have any shape, such as (k, 1) for k points on a batch axis.
     The kernel, `weak_pair` and the outcomes all take their operators from here.
     """
     ap, am = weak_amplitudes(x)
     half = gammas / 2
-    kets = np.empty((len(gammas), 2), complex)
-    kets[:, 0] = np.cos(half)
-    kets[:, 1] = np.exp(1j * deltas) * np.sin(half)
-    proj = kets[:, :, None] * kets.conj()[:, None, :]
-    c_bar = np.array([am, ap])[:, None, None, None]  # a(∓x), for P(x) and P(-x)
-    c_diff = np.array([ap - am, am - ap])[:, None, None, None]  # a(±x) − a(∓x)
+    kets = np.empty((*gammas.shape, 2), complex)
+    kets[..., 0] = np.cos(half)
+    kets[..., 1] = np.exp(1j * deltas) * np.sin(half)
+    proj = kets[..., :, None] * kets.conj()[..., None, :]
+    axes = (2,) + (1,) * proj.ndim  # the coefficient pair on a new axis 0
+    c_bar = np.array([am, ap]).reshape(axes)  # a(∓x), for P(x) and P(-x)
+    c_diff = np.array([ap - am, am - ap]).reshape(axes)  # a(±x) − a(∓x)
     ops = c_diff * proj
     ops += c_bar * np.eye(2)  # in place, one (2, n, 2, 2) array fewer; a + b == b + a bit for bit
     return ops
@@ -112,16 +114,16 @@ class MeasurementOutcome:
 
 
 def conditional_blocks(rho4: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """M_ij = Σ_abc P_ab ρ_ibjc P_ca, the unnormalized states of A, for a (k, n, 2, 2) stack of P.
+    """M_ij = Σ_abc P_ab ρ_ibjc P_ca, the unnormalized states of A, for a (..., n, 2, 2) stack of P.
 
-    rho4 is ρ as indices (a, b, a', b'); the result is (k, n, dim_a, dim_a). These
-    are, bit for bit, the two matmuls
-    ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` plans for each of
-    the k batches, without its per-call planning: P·P, then its transpose T as
-    (n, 4) rows T_bc against ρ laid out once as (bc, ij). The k outcomes lie on
-    a batch axis of each matmul and their rows are never stacked: matmul takes
-    another path for one row than for several, so stacking would change values
-    at odd dim_a.
+    rho4 is ρ as indices (a, b, a', b'); the result is (..., n, dim_a, dim_a).
+    These are, bit for bit, the two matmuls
+    ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` plans for each
+    batch, without its per-call planning: P·P, then its transpose T as
+    (n, 4) rows T_bc against ρ laid out once as (bc, ij). The leading axes,
+    such as the two outcomes, are batch axes of each matmul and their rows are
+    never stacked: matmul takes another path for one row than for several, so
+    stacking would change values at odd dim_a.
     """
     dim_a, batch = rho4.shape[0], ops.shape[:-2]
     r = np.einsum("ibjc->bcij", rho4).reshape(4, dim_a * dim_a)

@@ -383,6 +383,26 @@ class TestErrorPaths:
         assert run(capsys, "report", "--state", f"file:{path}") == (2, "")
 
     @pytest.mark.parametrize(
+        "re, message",
+        [
+            # numpy would read both as a valid state, true as 1.0 and "0.5" as 0.5
+            ([[True, False], [False, False]], "state file 're' and 'im' entries must be JSON numbers"),
+            ([["0.5", 0], [0, "0.5"]], "state file 're' and 'im' entries must be JSON numbers"),
+            # numpy raises OverflowError, not ValueError, on an integer beyond float range
+            ([[10**400, 0], [0, 0]], "state file 're' and 'im' entries must be finite: int too large to convert to float"),
+        ],
+        ids=["bool-entries", "string-entries", "huge-int-entry"],
+    )
+    def test_entries_must_be_json_numbers(self, capsys, tmp_path, minimize_calls, re, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim_a": 1, "dim_b": 2, "re": re, "im": [[0, 0], [0, 0]]}))
+        rc = cli.main(["report", "--state", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"error: {message}\n"
+        assert minimize_calls == []
+
+    @pytest.mark.parametrize(
         "axis, state, start, stop",
         [("x", "random", "1", "inf"), ("x", "random", "nan", "1"),
          ("z", "werner", "0", "inf"), ("lambda0", "pure", "0", "nan")],

@@ -198,6 +198,7 @@ class TestHemisphereScan:
         cases = [(x, cfg) for x in (0.1, 0.5, 2.0, INFINITY) for cfg in cfgs]
         got = [discord._minimize(rho, x, cfg) for x, cfg in cases]
         monkeypatch.setattr(discord, "_lattice_values", full_lattice)
+        monkeypatch.setattr(discord, "_screened_values", discord._batched_weak_ce)  # the dim_a = 2 lattice
         assert got == [discord._minimize(rho, x, cfg) for x, cfg in cases]
 
     @pytest.fixture
@@ -305,6 +306,49 @@ class TestAxialScan:
             post = sd.project_state(rho, basis)
             for x, cfg in cases:
                 assert discord._minimize(post, x, cfg, bloch(basis)) == discord._minimize(post, x, cfg)
+
+
+SCREEN_STATES = [
+    *[pytest.param(sd.random_state(seed, dim_a=2, rank=rank), id=f"ginibre-rank{rank}-{seed}")
+      for rank in range(1, 5) for seed in range(2)],
+    *[pytest.param(sd.pure_schmidt(lambda0), id=f"pure-{lambda0}") for lambda0 in (0.0, 0.2, 0.5)],
+    *[pytest.param(sd.werner(z), id=f"werner-{z}") for z in (0.0, 0.6)],
+    pytest.param(sd.validate(CLASSICAL, dim_a=2), id="classical"),  # its minimum is a pole tie
+]
+SCREEN_STRENGTHS = [0.0, 0.1, 0.5, 2.0, 8.0, INFINITY]
+
+
+class TestBlochScreen:
+    """`_screened_values`, the dim_a = 2 lattice, against the full `_batched_weak_ce` lattice: equal with ==."""
+
+    @pytest.mark.parametrize("x", SCREEN_STRENGTHS)
+    @pytest.mark.parametrize("rho", SCREEN_STATES)
+    def test_summary_matches_full_lattice(self, rho, x):
+        rho4 = rho.as_tensor()
+        for n_gamma, n_delta in AXIAL_GRIDS:
+            gg, dd = lattice(n_gamma, n_delta)
+            got = discord._screened_values(rho4, x, gg, dd)
+            assert lattice_summary(got) == lattice_summary(discord._batched_weak_ce(rho4, x, gg, dd)), (n_gamma, n_delta)
+
+    @pytest.mark.parametrize("rho", SCREEN_STATES)
+    def test_screen_is_the_kernel_within_rounding(self, rho):
+        # the screen's 1e-8 margins must cover this gap many times over
+        rho4, (gg, dd) = rho.as_tensor(), lattice(64, 64)
+        for x in SCREEN_STRENGTHS:
+            gap = np.abs(discord._bloch_screen(rho4, x, gg, dd) - discord._batched_weak_ce(rho4, x, gg, dd))
+            assert gap.max() <= 1e-12, x
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generic_lattice_sends_few_points(self, seed, monkeypatch):
+        sizes, inner = [], discord._batched_weak_ce
+
+        def counting(rho4, x, gammas, deltas):
+            sizes.append(len(gammas))
+            return inner(rho4, x, gammas, deltas)
+
+        monkeypatch.setattr(discord, "_batched_weak_ce", counting)
+        discord._screened_values(sd.random_state(seed).as_tensor(), 0.5, *lattice(64, 64))
+        assert len(sizes) == 1 and 2 <= sizes[0] <= 64  # one multi-row batch, as in the full scan
 
 
 class TestDiscordMeasures:
@@ -570,6 +614,11 @@ def weak_ce_objective_of(rho, x):
     return lambda p: float(discord._batched_weak_ce(rho4, x, np.array([p[0]]), np.array([p[1]]))[0])
 
 
+def pointwise(fun):
+    """The list-of-points objective `_nm_minimize` takes, from a scalar function."""
+    return lambda pts: [fun(p) for p in pts]
+
+
 class TestNelderMeadPort:
     """`_nm_minimize` against scipy's Nelder-Mead at the refinement's fixed settings:
     equal with ==, not approx."""
@@ -591,26 +640,44 @@ class TestNelderMeadPort:
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", maxiter)
         options = {"xatol": 1e-8, "fatol": 1e-8, "maxiter": maxiter, "maxfev": 4 * maxiter}
         ref = minimize(fun, list(x0), method="Nelder-Mead", options=options)
-        res = discord._nm_minimize(fun, x0)
+        res = discord._nm_minimize(pointwise(fun), x0)
         assert (tuple(res.x), res.fun, res.nfev, res.success) == (
             tuple(ref.x), ref.fun, ref.nfev, ref.success
         )
         assert res.nfev <= 4 * maxiter - 1  # so scipy's maxfev = 4 * maxiter never binds
 
+    @pytest.mark.parametrize("x", [0.5, INFINITY])
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_points_share_calls(self, dim_a, x, monkeypatch):
+        # the reflected point and the inside contraction go in one call, the step most iterations take
+        inner, counts = discord._nm_minimize, []
+
+        def counting(fun, x0):
+            calls = []
+            res = inner(lambda pts: calls.append(len(pts)) or fun(pts), x0)
+            counts.append((len(calls), res.nfev))
+            return res
+
+        monkeypatch.setattr(discord, "_nm_minimize", counting)
+        for seed in range(3):
+            discord._minimize(sd.random_state(seed, dim_a=dim_a, rank=4), x, FAST_CFG)
+        assert len(counts) == 3
+        assert all(calls < 0.7 * nfev for calls, nfev in counts), counts
+
     def test_failure_branches_reached(self, monkeypatch):
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
-        assert not discord._nm_minimize(rosenbrock, (-1.2, 1.0)).success
+        assert not discord._nm_minimize(pointwise(rosenbrock), (-1.2, 1.0)).success
 
     def test_flat_simplex_without_success(self):
         # on the pole the values settle at 0 while delta wanders
         fun = weak_ce_objective_of(sd.validate(CLASSICAL, dim_a=2), INFINITY)
-        res = discord._nm_minimize(fun, (0.0, 0.0))
+        res = discord._nm_minimize(pointwise(fun), (0.0, 0.0))
         assert (res.success, res.flat, res.fun) == (False, True, 0.0)
 
     def test_success_is_flat(self, monkeypatch):
-        assert discord._nm_minimize(rosenbrock, (-1.2, 1.0)).flat
+        assert discord._nm_minimize(pointwise(rosenbrock), (-1.2, 1.0)).flat
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
-        assert not discord._nm_minimize(rosenbrock, (-1.2, 1.0)).flat
+        assert not discord._nm_minimize(pointwise(rosenbrock), (-1.2, 1.0)).flat
 
 
 def einsum_weak_ce(rho4, x, gammas, deltas):
@@ -710,8 +777,8 @@ class TestKernelInvariants:
 
         def recording(rho4, x, gammas, deltas):
             vals = inner(rho4, x, gammas, deltas)
-            if len(gammas) == 1:
-                points.append((float(gammas[0]), float(deltas[0]), vals[0]))
+            if gammas.ndim == 2:  # the refinement's points, on a batch axis; unused contractions too
+                points.extend(zip(gammas[:, 0].tolist(), deltas[:, 0].tolist(), vals[:, 0]))
             return vals
 
         monkeypatch.setattr(discord, "_batched_weak_ce", recording)

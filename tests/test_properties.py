@@ -26,12 +26,14 @@ def basis_of(v):
     return QubitBasis(math.acos(min(1.0, max(-1.0, v[2]))), math.atan2(v[1], v[0]) % (2 * math.pi))
 
 
+# On a failure Hypothesis imports its patch writer, whose libcst import warns; as an error
+# that warning would abort the whole test run with an INTERNALERROR instead of reporting the
+# example. Every test of this module is a Hypothesis test, so the mark is module-wide.
+pytestmark = pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+
 ANGLES = st.tuples(st.floats(0, math.pi), st.floats(0, 2 * math.pi))
 
 
-# On a failure Hypothesis imports its patch writer, whose libcst import warns; as an error
-# that warning would abort the session with an INTERNALERROR instead of reporting the example.
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 class TestMeasuredStateSymmetry:
     """On ρ̃ = project_state(ρ, n), S_w along m depends on |m·n| alone and never rises with it."""
 
