@@ -8,8 +8,9 @@ test (`src` in a checkout). The digest has two sections:
 - the CLI: every command of a fixed set runs in-process through
   `superdiscord.cli.main`, and the script prints its argv, exit code and stdout;
 - the minima: for each state, lattice and strength, the `repr` of
-  `discord._minimize`, `discord.analyze` and `discord.verify_resurrection`, or
-  of the exception each raises. A `repr` shows every float to the last bit,
+  `discord._minimize`, `discord.analyze` and `discord.verify_resurrection`, and
+  of `discord.analyze` on a fresh copy of the state that keeps no minima yet,
+  or of the exception each raises. A `repr` shows every float to the last bit,
   where the CLI's stdout shows 12 significant digits.
 
 Running it on two trees with the same Python and numpy and comparing with
@@ -115,6 +116,10 @@ def minima_section(discord, families, qstate) -> None:
                 sys.stdout.write(f"# {name} grid={grid[0]}x{grid[1]} x={x}\n")
                 for fn in (discord._minimize, discord.analyze, discord.verify_resurrection):
                     sys.stdout.write(f"{fn.__name__}: {record(lambda: fn(rho, x, cfg))}\n")
+                # `rho` keeps its minima across strengths, so after x = 0 its strong minimum is
+                # never computed again; a fresh object makes analyze find both minima at each x
+                fresh = qstate.validate(rho.entries, rho.dim_a)
+                sys.stdout.write(f"analyze, fresh object: {record(lambda: discord.analyze(fresh, x, cfg))}\n")
 
 
 def main(argv: list[str]) -> int:

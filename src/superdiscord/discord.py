@@ -25,11 +25,19 @@ refinement is an in-package port of scipy's default Nelder-Mead that keeps
 its iterates bit for bit, so numpy is the only runtime dependency. Each of
 its iterations evaluates the reflected point and the inside contraction in
 one kernel call, and calls again only for an expansion, an outside
-contraction or a shrink; its evaluation count is still scipy's. Its
-constants are fixed, not options: angle tolerance 1e-8, value tolerance
-FLAT_TOL and at most MAX_REFINE_ITERS iterations, the settings every reported
-number has been computed with. It has no evaluation budget, because the
-iteration cap already bounds the evaluations (see `_nm_minimize`).
+contraction or a shrink; its evaluation count is still scipy's. It is a
+generator of the points each step needs (`_nm_steps`), so the refinements of
+one state at several strengths advance in lockstep (`_minimize_jointly`):
+each round sends every live refinement's points to the kernel in one call,
+each point with its own strength, and each gets the value it would get
+alone. `analyze` finds its strong and weak minima that way, with as many
+calls as the longer refinement makes alone; every minimum that succeeds is
+kept on the state, and the first NoConvergence in strength order, the strong
+one first, is raised. The refinement's constants are fixed, not options:
+angle tolerance 1e-8, value tolerance FLAT_TOL and at most MAX_REFINE_ITERS
+iterations, the settings every reported number has been computed with. It
+has no evaluation budget, because the iteration cap already bounds the
+evaluations (see `_nm_steps`).
 """
 
 from __future__ import annotations
@@ -92,11 +100,12 @@ def quantum_conditional_entropy(rho: DensityMatrix) -> float:
 
 def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) -> float:
     """p(x) S(ρ_{A|P(x)}) + p(-x) S(ρ_{A|P(-x)}) for the weak pair in `basis`; the strong one at x = INFINITY."""
+    measure.real_strength(x)  # one strength, never the per-point array the kernel also takes
     gammas, deltas = np.array([basis.gamma]), np.array([basis.delta])
     return float(_batched_weak_ce(rho.as_tensor(), x, gammas, deltas)[0])
 
 
-def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def _batched_weak_ce(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Weak conditional entropy for an array of (gamma, delta) bases, of the angles' shape.
 
     P(±x) come from `measure.weak_operators`, A's conditional states from
@@ -104,9 +113,13 @@ def _batched_weak_ce(rho4: np.ndarray, x: float, gammas: np.ndarray, deltas: np.
     rows never stacked, so one trace, one eigvalsh and one entropy pass serve
     both. A flat batch of n points is one matmul of n rows; angles of shape
     (k, 1) put k points on a batch axis, so each takes the one-row path that a
-    lone point takes and gets its value bit for bit. The outcomes are added to
-    zeros one after the other: a pure conditional state gives -0.0 per
-    outcome, and the sum stays +0.0.
+    lone point takes and gets its value bit for bit. x is one strength, or an
+    array of the angles' shape with each point's own, so that points of
+    refinements at several strengths share a call. rho4 is ρ as indices
+    (a, b, a', b') or, for a caller that evaluates one state many times, its
+    `measure.contraction_rows`. The outcomes are added to zeros one after the
+    other: a pure conditional state gives -0.0 per outcome, and the sum stays
+    +0.0.
     """
     m = measure.conditional_blocks(rho4, measure.weak_operators(x, gammas, deltas))
     p = np.real(np.einsum("...ii->...", m))
@@ -294,7 +307,23 @@ class _NMResult:
 
 
 def _nm_minimize(fun, x0) -> _NMResult:
-    """Nelder-Mead on two variables, step for step as scipy's default method.
+    """Nelder-Mead on two variables, step for step as scipy's default method: `_nm_steps` driven by one objective.
+
+    `fun` maps a list of points to their values; it is given each list of
+    points `_nm_steps` asks for, in one call.
+    """
+    steps = _nm_steps(x0)
+    points = next(steps)
+    while True:
+        try:
+            points = steps.send([float(v) for v in fun(points)])
+        except StopIteration as stop:
+            return stop.value
+
+
+def _nm_steps(x0):
+    """Nelder-Mead on two variables as a generator: it yields each list of points it
+    needs, is sent their values as a list of floats, and returns the `_NMResult`.
 
     A port of ``scipy.optimize._optimize._minimize_neldermead`` as
     ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=...)``
@@ -306,15 +335,16 @@ def _nm_minimize(fun, x0) -> _NMResult:
     psi = sigma = 1/2, and vertices are stably sorted by value, NaN last, as
     numpy's argsort sorts three items.
 
-    `fun` maps a list of points to their values, so that points go to it
-    together: the three simplex points in one call; then, each iteration, the
-    reflected point and the inside contraction in one call, the step most
-    iterations take; the expansion or the outside contraction in a second call
-    only when the reflected value asks for it; and the two shrink points in
-    one call. An inside contraction that the step does not take is evaluated
-    and dropped. ``nfev`` counts the evaluations scipy's method makes, not
-    the points passed to `fun`, so every field is the same as with one point
-    per call, provided `fun` gives each point the value it would give alone.
+    Points are asked for together: the three simplex points in one list; then,
+    each iteration, the reflected point and the inside contraction in one list,
+    the step most iterations take; the expansion or the outside contraction in
+    a second list only when the reflected value asks for it; and the two shrink
+    points in one list. An inside contraction that the step does not take is
+    evaluated and dropped. ``nfev`` counts the evaluations scipy's method
+    makes, not the points asked for, so every field is the same as with one
+    point per list, provided each point gets the value it would get alone.
+    Being a generator, it lets one caller advance several refinements in
+    lockstep and evaluate all their points together (`_minimize_jointly`).
 
     That maxfev never binds, so it is not checked: the simplex costs 3
     evaluations and each iteration at most 4 (reflect, contract, two shrink
@@ -323,9 +353,6 @@ def _nm_minimize(fun, x0) -> _NMResult:
     tolerance alone holds at the end, as on a pole, where delta is degenerate
     and the vertices never meet xatol in it.
     """
-
-    def f(*points):
-        return [float(v) for v in fun(list(points))]
 
     def lin(a, p, b, q):
         return (a * p[0] + b * q[0], a * p[1] + b * q[1])
@@ -341,7 +368,7 @@ def _nm_minimize(fun, x0) -> _NMResult:
     x0 = (float(x0[0]), float(x0[1]))
     sim = [x0, ((1 + 0.05) * x0[0] if x0[0] != 0 else 0.00025, x0[1]),
            (x0[0], (1 + 0.05) * x0[1] if x0[1] != 0 else 0.00025)]
-    fsim = f(*sim)
+    fsim = yield list(sim)
     nfev = 3
     sort()
 
@@ -353,19 +380,19 @@ def _nm_minimize(fun, x0) -> _NMResult:
         xbar = ((s0[0] + sim[1][0]) / 2, (s0[1] + sim[1][1]) / 2)
         xr = lin(2, xbar, -1, s2)  # reflect
         xcc = lin(0.5, xbar, 0.5, s2)  # contract inside, the step taken when fxr >= fsim[2]
-        fxr, fxcc = f(xr, xcc)
+        fxr, fxcc = yield [xr, xcc]
         nfev += 1
         shrink = False
         if fxr < fsim[0]:
             xe = lin(3, xbar, -2, s2)  # expand
-            (fxe,) = f(xe)
+            (fxe,) = yield [xe]
             nfev += 1
             sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[1]:
             sim[2], fsim[2] = xr, fxr
         elif fxr < fsim[2]:
             xc = lin(1.5, xbar, -0.5, s2)  # contract outside
-            (fxc,) = f(xc)
+            (fxc,) = yield [xc]
             nfev += 1
             if fxc <= fxr:
                 sim[2], fsim[2] = xc, fxc
@@ -379,7 +406,7 @@ def _nm_minimize(fun, x0) -> _NMResult:
                 shrink = True
         if shrink:
             sim[1:] = [(s0[0] + 0.5 * (v[0] - s0[0]), s0[1] + 0.5 * (v[1] - s0[1])) for v in sim[1:]]
-            fsim[1:] = f(*sim[1:])
+            fsim[1:] = yield sim[1:]
             nfev += 2
         it += 1
         sort()
@@ -396,64 +423,123 @@ class MinimizationResult:
 def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> MinimizationResult:
     """The basis minimizing S_w(rho|.) at x: the lattice's best point, then refined.
 
-    `axis`, the Bloch vector of the basis rho was decohered in, lets the
-    lattice scan skip points that cannot decide its summary (`_axial_values`);
-    the result is the same with or without it. Without one, dim_a = 2 takes
-    the closed-form screen (`_screened_values`) and other dim_a the
-    hemisphere scan (`_lattice_values`), with the same result either way.
+    A joint minimization (`_minimize_jointly`) with one strength, whose
+    NoConvergence it raises. `axis`, the Bloch vector of the basis rho was
+    decohered in, lets the lattice scan skip points that cannot decide its
+    summary (`_axial_values`); the result is the same with or without it.
+    Without one, dim_a = 2 takes the closed-form screen (`_screened_values`)
+    and other dim_a the hemisphere scan (`_lattice_values`), with the same
+    result either way.
+    """
+    (res,) = _minimize_jointly(rho, [x], cfg, axis)
+    if isinstance(res, NoConvergence):
+        raise res
+    return res
+
+
+def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -> list:
+    """`_minimize(rho, x, cfg, axis)` at each strength of xs, with the refinements run in lockstep.
+
+    Each entry is, at its strength, the MinimizationResult, or the
+    NoConvergence that `_minimize` raises; a bad strength raises at once. The
+    lattices are scanned one after the other, as `_minimize` scans each. Every
+    lattice that is not flat starts a `_nm_steps` refinement from its best
+    point, and each round sends the pending points of every live refinement
+    to the kernel in one call, on a batch axis with each point's own strength,
+    so each point gets the value it would get alone and each refinement takes
+    the steps it takes alone. The rounds are as many as the longest
+    refinement's calls, not the sum over refinements, and ρ's contraction rows
+    are built once for all of them.
     """
     rho4 = rho.as_tensor()
     gammas = np.linspace(0.0, math.pi, cfg.grid_gamma)
     deltas = np.linspace(0.0, 2 * math.pi, cfg.grid_delta, endpoint=False)
     gg, dd = np.meshgrid(gammas, deltas, indexing="ij")
     gg, dd = gg.ravel(), dd.ravel()
-    if axis is not None:
-        vals = _axial_values(rho4, x, gg, dd, cfg, axis)
-    elif rho.dim_a == 2:
-        vals = _screened_values(rho4, x, gg, dd)
-    else:
-        vals = _lattice_values(rho4, x, gg, dd, cfg)
-    vmin = float(vals.min())
-    spread = float(vals.max()) - vmin
-    # ties broken toward smallest gamma, then delta (row-major, gamma outer)
-    idx = int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])
-    g_best, d_best, v_best = float(gg[idx]), float(dd[idx]), float(vals[idx])
-
-    def objective(points):
-        g, d = np.array(points).T[:, :, None]  # (k, 1): each point on a batch axis, as if alone
-        return _batched_weak_ce(rho4, x, g, d)[:, 0]
+    scans = []
+    for x in xs:
+        if axis is not None:
+            vals = _axial_values(rho4, x, gg, dd, cfg, axis)
+        elif rho.dim_a == 2:
+            vals = _screened_values(rho4, x, gg, dd)
+        else:
+            vals = _lattice_values(rho4, x, gg, dd, cfg)
+        vmin = float(vals.min())
+        # ties broken toward smallest gamma, then delta (row-major, gamma outer)
+        scans.append((vals, vmin, float(vals.max()) - vmin, int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])))
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
-    if spread >= FLAT_TOL:
-        res = _nm_minimize(objective, (gg[idx], dd[idx]))
-        if not (res.success or res.flat):
-            raise NoConvergence(
+    steps = {j: _nm_steps((gg[idx], dd[idx])) for j, (_, _, spread, idx) in enumerate(scans) if spread >= FLAT_TOL}
+    pending = {j: next(gen) for j, gen in steps.items()}  # each live refinement's points, by strength index
+    rows = measure.contraction_rows(rho4) if pending else None
+    refined = {}
+    while pending:
+        # (k, 1) angles: each point on a batch axis, as if alone; one live refinement passes
+        # its strength as a scalar, so a lone minimization's calls cost what they cost before
+        if len(pending) == 1:
+            [(j, points)] = pending.items()
+            g, d = np.array(points).T[:, :, None]
+            x = xs[j]
+        else:
+            g, d, x = np.array([(*p, xs[j]) for j, points in pending.items() for p in points]).T[:, :, None]
+        vals = _batched_weak_ce(rows, x, g, d)[:, 0].tolist()
+        start = 0
+        for j, points in list(pending.items()):
+            stop = start + len(points)
+            try:
+                pending[j] = steps[j].send(vals[start:stop])
+            except StopIteration as done:
+                refined[j] = done.value
+                del pending[j]
+            start = stop
+
+    out = []
+    for j, (vals, vmin, spread, idx) in enumerate(scans):
+        res = refined.get(j)
+        if res is None:  # a flat lattice keeps its first tie
+            g_best, d_best, v_best = float(gg[idx]), float(dd[idx]), float(vals[idx])
+        elif not (res.success or res.flat):
+            out.append(NoConvergence(
                 f"basis refinement stopped before reaching tol {FLAT_TOL:g} "
                 f"(best value {min(res.fun, vmin):.9g})",
                 best_value=float(min(res.fun, vmin)),
-            )
-        if res.fun <= vmin:
+            ))
+            continue
+        elif res.fun <= vmin:
             g_best, d_best, v_best = float(res.x[0]), float(res.x[1]), float(res.fun)
         else:
             jmin = int(np.argmin(vals))
             g_best, d_best, v_best = float(gg[jmin]), float(dd[jmin]), vmin
-    # fold arbitrary refined angles back into canonical ranges
-    basis = measure.basis_from_ket(QubitBasis(g_best, d_best).ket())
-    return MinimizationResult(basis, v_best, spread)
+        # fold arbitrary refined angles back into canonical ranges
+        basis = measure.basis_from_ket(QubitBasis(g_best, d_best).ket())
+        out.append(MinimizationResult(basis, v_best, spread))
+    return out
 
 
-def _minimum(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> MinimizationResult:
-    """`_minimize(rho, x, cfg)`, run once per state object and kept on it."""
-    if (x, cfg) not in rho._minima:
-        rho._minima[x, cfg] = _minimize(rho, x, cfg)
-    return rho._minima[x, cfg]
+def _minima(rho: DensityMatrix, xs, cfg: OptimizerConfig) -> list[MinimizationResult]:
+    """`_minimize(rho, x, cfg)` at each strength of xs, run once per state object and kept on it.
+
+    The strengths not kept yet are minimized together, in one
+    `_minimize_jointly` call. Every minimum found is kept; then the first
+    NoConvergence, in the order of xs, is raised.
+    """
+    for x in xs:
+        measure.real_strength(x)  # before the lookup, which could not even hash a list or an array
+    missing = [x for x in dict.fromkeys(xs) if (x, cfg) not in rho._minima]
+    if missing:
+        found = _minimize_jointly(rho, missing, cfg)
+        rho._minima.update(((x, cfg), res) for x, res in zip(missing, found) if not isinstance(res, NoConvergence))
+        for res in found:
+            if isinstance(res, NoConvergence):
+                raise res
+    return [rho._minima[x, cfg] for x in xs]
 
 
 def minimize_conditional_entropy(
     rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> tuple[QubitBasis, float]:
     """Basis minimizing the weak (or, at x = INFINITY, strong) conditional entropy."""
-    res = _minimum(rho, x, cfg)
+    (res,) = _minima(rho, [x], cfg)
     return res.basis, res.value
 
 
@@ -461,7 +547,7 @@ def super_discord(
     rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> tuple[float, QubitBasis]:
     """D_w = min_basis S_w(A|{P(x)}) - S(A|B); at x = INFINITY, the discord D_s."""
-    res = _minimum(rho, x, cfg)
+    (res,) = _minima(rho, [x], cfg)
     return res.value - quantum_conditional_entropy(rho), res.basis
 
 
@@ -483,8 +569,7 @@ def analyze(
     """All correlation measures of one state at one strength, bundled."""
     measure.weak_amplitudes(x)  # reject a bad strength before any minimization
     cond_qq = quantum_conditional_entropy(rho)
-    strong = _minimum(rho, INFINITY, cfg)
-    weak = _minimum(rho, x, cfg)
+    strong, weak = _minima(rho, [INFINITY, x], cfg)  # one joint minimization, or one at x = INFINITY
     ds = strong.value - cond_qq
     dw = weak.value - cond_qq
     return DiscordReport(
@@ -544,10 +629,11 @@ def verify_resurrection(
     of them when the landscape is flat (the maximally mixed state). The
     lattice's summary is the full scan's, bit for bit, and is still refined.
     """
+    measure.real_strength(x)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"resurrection check needs finite x > 0, got {x}")
     report = analyze(rho, x, cfg)
-    strong, weak = _minimum(rho, INFINITY, cfg), _minimum(rho, x, cfg)  # kept by analyze
+    strong, weak = _minima(rho, [INFINITY, x], cfg)  # kept by analyze
     delta = weak.value - strong.value
     ambiguous = strong.grid_spread < FLAT_TOL
     # both lattices flat: strong.basis is the first lattice point (0, 0), the computational basis

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qstate
-from .errors import NegativeStrength
+from .errors import DomainError, NegativeStrength
 from .qstate import DensityMatrix
 
 INFINITY = math.inf
 
 DEGENERATE_PROB = 1e-12
+
+_EYE2 = np.eye(2)  # built once: `weak_operators` runs once per kernel call
 
 
 @dataclass(frozen=True)
@@ -63,20 +66,37 @@ def same_basis(b1: QubitBasis, b2: QubitBasis, tol: float = 1e-4) -> bool:
     return bool(overlap >= 1.0 - tol or overlap <= tol)
 
 
+def real_strength(x) -> None:
+    """Reject a strength that is a bool or not a real number, with DomainError.
+
+    Python ints and floats and numpy real scalars pass; strings, None, complex
+    numbers, lists and arrays do not. The sign is `weak_amplitudes`'s check.
+    """
+    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        raise DomainError(f"strength must be a real number, got {x!r}")
+
+
 def weak_amplitudes(x: float) -> tuple[float, float]:
     """(a(x), a(-x)) with a(±x) = sqrt((1 ∓ tanh x)/2), for a strength x >= 0.
 
-    The one strength rule of the package: a negative or NaN x raises
-    NegativeStrength, and x = INFINITY gives tanh = 1 exactly, the projective
-    limit a(x) = 0, a(-x) = 1.
+    The one strength rule of the package: a bool or a non-real x raises
+    DomainError (`real_strength`), a negative or NaN x NegativeStrength, and
+    x = INFINITY gives tanh = 1 exactly, the projective limit a(x) = 0, a(-x) = 1.
     """
+    real_strength(x)
     if not x >= 0:
         raise NegativeStrength(f"strength must be >= 0, got {x}")
     t = math.tanh(x)
     return math.sqrt((1.0 - t) / 2.0), math.sqrt((1.0 + t) / 2.0)
 
 
-def weak_operators(x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def _coefficients(x: float) -> tuple[float, float, float, float]:
+    """a(∓x) for P(x), P(-x), then a(±x) − a(∓x) for each: the two coefficient pairs of `weak_operators`."""
+    ap, am = weak_amplitudes(x)
+    return am, ap, ap - am, am - ap
+
+
+def weak_operators(x, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """The (2, *gammas.shape, 2, 2) stack of P(x), P(-x) = a(±x) Pi_phi + a(∓x) Pi_phibar, one per (gamma, delta).
 
     Pi_phi = |phi><phi| with |phi> as in `QubitBasis.ket`, and P(±x) is built as
@@ -85,24 +105,31 @@ def weak_operators(x: float, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarr
     ``plus, minus = weak_operators(...)`` unpacks them. `weak_amplitudes` checks x;
     x = INFINITY gives the projective limit P(x) = I − Pi_phi, P(-x) = Pi_phi.
     The angles may have any shape, such as (k, 1) for k points on a batch axis.
+    x is one strength, or an array of the angles' shape that gives each point
+    its own: `weak_amplitudes` then runs once per distinct strength, and each
+    point's coefficients are indexed from that small table, so every operator
+    equals, bit for bit, the one built at its strength alone.
     The kernel, `weak_pair` and the outcomes all take their operators from here.
     """
-    ap, am = weak_amplitudes(x)
+    if isinstance(x, np.ndarray):
+        strengths = sorted(set(x.ravel().tolist()))
+        table = np.array([_coefficients(v) for v in strengths]).T  # (4, distinct strengths)
+        coef = table.take(np.searchsorted(strengths, x), axis=1)[..., None, None]  # C order, as the scalar's
+    else:
+        coef = np.array(_coefficients(x)).reshape((4,) + (1,) * (gammas.ndim + 2))
     half = gammas / 2
     kets = np.empty((*gammas.shape, 2), complex)
     kets[..., 0] = np.cos(half)
     kets[..., 1] = np.exp(1j * deltas) * np.sin(half)
     proj = kets[..., :, None] * kets.conj()[..., None, :]
-    axes = (2,) + (1,) * proj.ndim  # the coefficient pair on a new axis 0
-    c_bar = np.array([am, ap]).reshape(axes)  # a(∓x), for P(x) and P(-x)
-    c_diff = np.array([ap - am, am - ap]).reshape(axes)  # a(±x) − a(∓x)
-    ops = c_diff * proj
-    ops += c_bar * np.eye(2)  # in place, one (2, n, 2, 2) array fewer; a + b == b + a bit for bit
+    ops = coef[2:] * proj  # a(±x) − a(∓x), for P(x) and P(-x) on a new axis 0
+    ops += coef[:2] * _EYE2  # a(∓x), in place, one (2, n, 2, 2) array fewer; a + b == b + a bit for bit
     return ops
 
 
 def weak_pair(basis: QubitBasis, x: float) -> np.ndarray:
     """P(x), P(-x) for one basis as a (2, 2, 2) stack from `weak_operators`: ``plus, minus = weak_pair(b, x)``."""
+    real_strength(x)  # one strength, never the per-point array `weak_operators` also takes
     return weak_operators(x, np.array([basis.gamma]), np.array([basis.delta]))[:, 0]
 
 
@@ -113,20 +140,27 @@ class MeasurementOutcome:
     degenerate: bool = False
 
 
-def conditional_blocks(rho4: np.ndarray, ops: np.ndarray) -> np.ndarray:
+def contraction_rows(rho4: np.ndarray) -> np.ndarray:
+    """ρ, given as indices (a, b, a', b'), laid out as the (4, dim_a²) rows (bc, ij) that `conditional_blocks` contracts against."""
+    dim_a = rho4.shape[0]
+    return np.einsum("ibjc->bcij", rho4).reshape(4, dim_a * dim_a)
+
+
+def conditional_blocks(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """M_ij = Σ_abc P_ab ρ_ibjc P_ca, the unnormalized states of A, for a (..., n, 2, 2) stack of P.
 
-    rho4 is ρ as indices (a, b, a', b'); the result is (..., n, dim_a, dim_a).
-    These are, bit for bit, the two matmuls
+    rho is ρ as indices (a, b, a', b'), or its `contraction_rows`, which a
+    caller that contracts one state many times builds once; the result is
+    (..., n, dim_a, dim_a). These are, bit for bit, the two matmuls
     ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` plans for each
     batch, without its per-call planning: P·P, then its transpose T as
-    (n, 4) rows T_bc against ρ laid out once as (bc, ij). The leading axes,
+    (n, 4) rows T_bc against ρ laid out as (bc, ij). The leading axes,
     such as the two outcomes, are batch axes of each matmul and their rows are
     never stacked: matmul takes another path for one row than for several, so
     stacking would change values at odd dim_a.
     """
-    dim_a, batch = rho4.shape[0], ops.shape[:-2]
-    r = np.einsum("ibjc->bcij", rho4).reshape(4, dim_a * dim_a)
+    r = contraction_rows(rho) if rho.ndim == 4 else rho
+    dim_a, batch = math.isqrt(r.shape[1]), ops.shape[:-2]
     t = np.matmul(ops, ops).reshape(*batch, 4)
     del ops  # so the operators the kernel passes as a temporary are freed before the blocks exist
     t[..., 1:3] = t[..., 2:0:-1]  # T_bc = (P·P)_cb, swapped in place rather than copied

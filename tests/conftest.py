@@ -32,13 +32,13 @@ def bloch(basis):
 
 @pytest.fixture
 def minimize_calls(monkeypatch):
-    """Strengths of every basis minimization run while the test is active."""
+    """Strengths of every basis minimization run while the test is active, those of a joint call in its order."""
     strengths = []
-    inner = discord._minimize
+    inner = discord._minimize_jointly
 
-    def counting(rho, x, cfg, axis=None):
-        strengths.append(x)
-        return inner(rho, x, cfg, axis)
+    def counting(rho, xs, cfg, axis=None):
+        strengths.extend(xs)
+        return inner(rho, xs, cfg, axis)
 
-    monkeypatch.setattr(discord, "_minimize", counting)
+    monkeypatch.setattr(discord, "_minimize_jointly", counting)
     return strengths

@@ -108,6 +108,23 @@ class TestMinimizer:
             sd.analyze(sd.random_state(1), x, FAST_CFG)
         assert minimize_calls == []  # rejected before the strong minimization
 
+    @pytest.mark.parametrize(
+        "x", ["0.5", None, 1j, [0.5], np.array([0.5]), np.array(0.5), True, np.True_], ids=repr
+    )
+    def test_rejects_non_real_strength(self, x, minimize_calls):
+        rho = sd.random_state(1)
+        for call in (sd.analyze, sd.super_discord, sd.minimize_conditional_entropy, sd.verify_resurrection):
+            with pytest.raises(DomainError, match="strength must be a real number"):
+                call(rho, x, FAST_CFG)
+        with pytest.raises(DomainError, match="strength must be a real number"):
+            sd.weak_conditional_entropy(rho, COMPUTATIONAL, x)
+        assert minimize_calls == []  # rejected before any minimization
+        assert rho._minima == {}
+
+    @pytest.mark.parametrize("x", [np.float32(0.5), np.float64(0.5), np.int64(2), 2], ids=repr)
+    def test_accepts_real_scalar_strength(self, x):
+        assert sd.analyze(sd.random_state(1), x, FAST_CFG) == sd.analyze(sd.random_state(1), float(x), FAST_CFG)
+
     def test_refinement_out_of_iterations_raises(self, monkeypatch):
         rho = sd.random_state(1)
         gg, dd = np.meshgrid(
@@ -555,13 +572,13 @@ class TestMinimizationCount:
         assert (rho._minima[x, FAST_CFG].basis, rho._minima[x, FAST_CFG].value) == kept
 
     def test_failure_is_not_kept(self, minimize_calls, monkeypatch):
-        counting = discord._minimize
+        counting = discord._minimize_jointly
 
-        def fail_once(rho, x, cfg):
-            monkeypatch.setattr(discord, "_minimize", counting)
+        def fail_once(rho, xs, cfg, axis=None):
+            monkeypatch.setattr(discord, "_minimize_jointly", counting)
             raise NoConvergence("stuck", best_value=0.5)
 
-        monkeypatch.setattr(discord, "_minimize", fail_once)
+        monkeypatch.setattr(discord, "_minimize_jointly", fail_once)
         rho = sd.random_state(2)
         with pytest.raises(NoConvergence):
             sd.super_discord(rho, 0.5, FAST_CFG)
@@ -571,6 +588,87 @@ class TestMinimizationCount:
         sd.super_discord(rho, 0.5, FAST_CFG)
         sd.super_discord(rho, 0.5, FAST_CFG)
         assert minimize_calls == [-1.0, 0.5]
+
+
+def outcome(call):
+    """The repr of what a minimization returns, or of the exception it raises."""
+    try:
+        return repr(call())
+    except (ValueError, RuntimeError) as exc:
+        return repr(exc)
+
+
+JOINT_STATES = [
+    *[pytest.param(lambda d=dim_a: sd.random_state(30 + d, dim_a=d, rank=2 * d), id=f"ginibre-{dim_a}")
+      for dim_a in range(1, 9)],
+    pytest.param(lambda: sd.validate(CLASSICAL, dim_a=2), id="classical-pole-tie"),
+    pytest.param(lambda: sd.random_state(40, rank=1), id="rank-1"),
+    pytest.param(lambda: sd.werner(0.0), id="werner-0"),
+    pytest.param(lambda: sd.werner(0.6), id="werner-0.6"),
+]
+
+
+class TestJointMinimization:
+    """`_minimize_jointly` at (INFINITY, x) against `_minimize` run alone at each strength: equal by repr."""
+
+    @pytest.mark.parametrize("grid", [(64, 64), (9, 7), (6, 6), (3, 1)], ids=lambda g: f"{g[0]}x{g[1]}")
+    @pytest.mark.parametrize("make", JOINT_STATES)
+    def test_joint_equals_alone(self, make, grid):
+        rho, cfg = make(), OptimizerConfig(*grid)
+        strong = outcome(lambda: discord._minimize(rho, INFINITY, cfg))
+        for x in (0.0, 0.1, 0.5, 2.0):
+            weak = outcome(lambda: discord._minimize(rho, x, cfg))
+            joint = [repr(res) for res in discord._minimize_jointly(make(), [INFINITY, x], cfg)]
+            assert joint == [strong, weak], x
+
+    def test_analyze_raises_the_strong_failure(self, monkeypatch):
+        rho = sd.random_state(1)
+        monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 3)
+        with pytest.raises(NoConvergence) as alone:
+            discord._minimize(rho, INFINITY, DEFAULT_CONFIG)
+        with pytest.raises(NoConvergence) as joint:
+            sd.analyze(rho, 0.5)
+        assert (str(joint.value), joint.value.best_value) == (str(alone.value), alone.value.best_value)
+        assert str(joint.value).startswith("basis refinement stopped before reaching tol 1e-08 (best value ")
+        assert rho._minima == {}  # both refinements ran out of iterations
+
+    def test_a_success_is_kept_beside_a_failure(self, monkeypatch):
+        # at x = 0 the weak lattice is flat, so that minimum needs no refinement and succeeds
+        rho = sd.random_state(1)
+        monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 3)
+        with pytest.raises(NoConvergence):
+            sd.analyze(rho, 0.0)
+        assert list(rho._minima) == [(0.0, DEFAULT_CONFIG)]
+        monkeypatch.undo()
+        assert rho._minima[0.0, DEFAULT_CONFIG] == discord._minimize(rho, 0.0, DEFAULT_CONFIG)
+
+
+class TestJointRefinementCalls:
+    """Both refinements share each kernel call: as many calls as the longer one, and every point of both."""
+
+    @staticmethod
+    def refinement_calls(monkeypatch, run):
+        sizes, inner = [], discord._batched_weak_ce
+
+        def counting(rho4, x, gammas, deltas):
+            if gammas.ndim == 2:  # the refinement's points, on a batch axis
+                sizes.append(len(gammas))
+            return inner(rho4, x, gammas, deltas)
+
+        monkeypatch.setattr(discord, "_batched_weak_ce", counting)
+        run()
+        monkeypatch.undo()
+        return len(sizes), sum(sizes)
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("seed, dim_a", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+    def test_one_call_per_round(self, seed, dim_a, x, monkeypatch):
+        rho = sd.random_state(seed, dim_a=dim_a, rank=4)
+        strong = self.refinement_calls(monkeypatch, lambda: discord._minimize(rho, INFINITY, FAST_CFG))
+        weak = self.refinement_calls(monkeypatch, lambda: discord._minimize(rho, x, FAST_CFG))
+        joint = self.refinement_calls(monkeypatch, lambda: sd.analyze(rho, x, FAST_CFG))
+        assert strong[0] > 0 and weak[0] > 0  # both lattices refine
+        assert joint == (max(strong[0], weak[0]), strong[1] + weak[1])
 
 
 class TestEnsembleProperties:
@@ -650,15 +748,20 @@ class TestNelderMeadPort:
     @pytest.mark.parametrize("dim_a", [2, 3])
     def test_points_share_calls(self, dim_a, x, monkeypatch):
         # the reflected point and the inside contraction go in one call, the step most iterations take
-        inner, counts = discord._nm_minimize, []
+        inner, counts = discord._nm_steps, []
 
-        def counting(fun, x0):
-            calls = []
-            res = inner(lambda pts: calls.append(len(pts)) or fun(pts), x0)
-            counts.append((len(calls), res.nfev))
-            return res
+        def counting(x0):
+            steps, calls, values = inner(x0), 0, None
+            try:
+                while True:
+                    points = steps.send(values)
+                    calls += 1
+                    values = yield points
+            except StopIteration as done:
+                counts.append((calls, done.value.nfev))
+                return done.value
 
-        monkeypatch.setattr(discord, "_nm_minimize", counting)
+        monkeypatch.setattr(discord, "_nm_steps", counting)
         for seed in range(3):
             discord._minimize(sd.random_state(seed, dim_a=dim_a, rank=4), x, FAST_CFG)
         assert len(counts) == 3
@@ -778,14 +881,15 @@ class TestKernelInvariants:
         def recording(rho4, x, gammas, deltas):
             vals = inner(rho4, x, gammas, deltas)
             if gammas.ndim == 2:  # the refinement's points, on a batch axis; unused contractions too
-                points.extend(zip(gammas[:, 0].tolist(), deltas[:, 0].tolist(), vals[:, 0]))
+                strengths = np.broadcast_to(x, gammas.shape)[:, 0].tolist()  # each point's own
+                points.extend(zip(gammas[:, 0].tolist(), deltas[:, 0].tolist(), strengths, vals[:, 0]))
             return vals
 
         monkeypatch.setattr(discord, "_batched_weak_ce", recording)
-        discord._minimize(rho, x, OptimizerConfig(8, 8))
+        discord._minimize_jointly(rho, [INFINITY, x], OptimizerConfig(8, 8))  # both refinements share calls
         monkeypatch.undo()
         assert len(points) > 20
-        for g, d, v in points:
+        for g, d, x, v in points:
             assert v == sd.weak_conditional_entropy(rho, QubitBasis(g, d), x), (g, d)
 
     @pytest.mark.parametrize("x", [0.5, INFINITY])

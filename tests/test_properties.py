@@ -1,4 +1,4 @@
-"""Hypothesis property tests of the measured state's landscape; skipped where hypothesis is not installed."""
+"""Hypothesis property tests of the discords and of the measured state's landscape; skipped where hypothesis is not installed."""
 
 import math
 
@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
-from superdiscord.measure import QubitBasis
+from superdiscord.discord import OptimizerConfig
+from superdiscord.measure import INFINITY, QubitBasis
 
-from conftest import bloch
+from conftest import bloch, random_unitary
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -56,3 +57,45 @@ class TestMeasuredStateSymmetry:
         post = sd.project_state(sd.random_state(seed, dim_a=dim_a, rank=2 * dim_a), QubitBasis(*n))
         near, far = sorted((QubitBasis(*m1), QubitBasis(*m2)), key=lambda b: -abs(axis @ bloch(b)))
         assert sd.weak_conditional_entropy(post, near, x) <= sd.weak_conditional_entropy(post, far, x) + 1e-12
+
+
+SMALL = OptimizerConfig(12, 12)
+GINIBRE = st.tuples(st.integers(0, 10**6), st.sampled_from([2, 3]))  # seed, dim_a
+
+
+def ginibre(seed, dim_a):
+    return sd.random_state(seed, dim_a=dim_a, rank=2 * dim_a)
+
+
+class TestDiscordProperties:
+    """The order, limits, monotonicity and local-unitary invariance of D_s and D_w on Ginibre states."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(state=GINIBRE, x=st.floats(0.05, 4.0))
+    def test_sandwich(self, state, x):
+        rep = sd.analyze(ginibre(*state), x, SMALL)
+        assert rep.mutual_info + 1e-9 >= rep.super_discord
+        assert rep.super_discord + 1e-9 >= rep.discord >= -1e-9
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(state=GINIBRE)
+    def test_super_discord_at_zero_is_mutual_information(self, state):
+        rho = ginibre(*state)
+        assert abs(sd.super_discord(rho, 0.0, SMALL)[0] - sd.mutual_information(rho)) <= 1e-9
+
+    @settings(max_examples=8, derandomize=True, deadline=None, database=None)
+    @given(state=GINIBRE)
+    def test_super_discord_never_rises_with_strength(self, state):
+        rho = ginibre(*state)
+        values = [sd.super_discord(rho, x, SMALL)[0] for x in (0.0, 0.1, 0.3, 0.7, 1.5, 3.0, INFINITY)]
+        assert all(b <= a + 1e-8 for a, b in zip(values, values[1:])), values
+
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(state=GINIBRE, x=st.floats(0.05, 4.0), unitary_seed=st.integers(0, 10**6))
+    def test_local_unitary_on_a_keeps_both_discords(self, state, x, unitary_seed):
+        rho = ginibre(*state)
+        u = np.kron(random_unitary(np.random.default_rng(unitary_seed), rho.dim_a), np.eye(2))
+        rotated = sd.validate(u @ rho.entries @ u.conj().T, dim_a=rho.dim_a)
+        before, after = sd.analyze(rho, x, SMALL), sd.analyze(rotated, x, SMALL)
+        assert abs(after.discord - before.discord) <= 1e-8
+        assert abs(after.super_discord - before.super_discord) <= 1e-8
