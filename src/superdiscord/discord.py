@@ -20,9 +20,12 @@ and `weak_conditional_entropy` (strong at x = INFINITY). It takes both
 outcomes P(x), P(-x) in one pass, on a batch axis with their rows never
 stacked, so a refinement point costs one eigvalsh and one entropy pass; the
 objective calls it directly, without building a QubitBasis, with its points
-on a batch axis so that each gets the value it would get alone. The
-refinement is an in-package port of scipy's default Nelder-Mead that keeps
-its iterates bit for bit, so numpy is the only runtime dependency. Each of
+on a batch axis so that each gets the value it would get alone. It walks a
+flat batch in blocks of about BLOCK_BYTES of conditional states, never of one
+row, so a scan's memory is bounded at any dim_a and each point's value is the
+one a single pass would give it, bit for bit. The refinement is an
+in-package port of scipy's default Nelder-Mead that keeps its iterates bit
+for bit, so numpy is the only runtime dependency. Each of
 its iterations evaluates the reflected point and the inside contraction in
 one kernel call, and calls again only for an expansion, an outside
 contraction or a shrink; its evaluation count is still scipy's. It is a
@@ -89,6 +92,8 @@ FLAT_TOL = 1e-8
 MAX_REFINE_ITERS = 500
 # first chunk of each pass of `_axial_values`, doubled after every chunk that does not end it
 AXIAL_CHUNK = 16
+# bytes of conditional states one kernel block holds; smaller blocks cost time in per-block dispatch
+BLOCK_BYTES = 1 << 20
 
 
 def quantum_conditional_entropy(rho: DensityMatrix) -> float:
@@ -108,6 +113,37 @@ def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) ->
 def _batched_weak_ce(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Weak conditional entropy for an array of (gamma, delta) bases, of the angles' shape.
 
+    A flat batch is evaluated in blocks of at most B = max(2, BLOCK_BYTES //
+    (32 dim_a²)) points, 32 dim_a² bytes being one point's two complex
+    conditional states, and the blocks' values are concatenated; a per-point
+    strength array is split with the angles. So a call holds about
+    BLOCK_BYTES of conditional states at any batch size, where the 2048 points
+    of a 64×64 hemisphere scan would hold 4 MiB at dim_a = 8 and 64 MiB at
+    dim_a = 32. At dim_a = 2, B is 8192 and a lattice is one block; angles of
+    shape (k, 1), the refinement's, are always one. A trailing one-point block
+    joins the block before it, because matmul takes another path for one row,
+    off by an ulp at odd dim_a. With two rows or more, no row's value depends
+    on the batch, so each point gets, bit for bit, the value one pass over
+    the whole batch (`_weak_ce_block`) gives it. The blocks are a loop, never
+    calls through the module attribute, so a call is one kernel call however
+    many blocks it takes.
+    """
+    dim_a_sq = rho4.size // 4  # ρ's indices (a, b, a', b') or its (4, dim_a²) contraction rows
+    size = max(2, BLOCK_BYTES // (32 * dim_a_sq))
+    if gammas.ndim != 1 or len(gammas) <= size + 1:
+        return _weak_ce_block(rho4, x, gammas, deltas)
+    n = len(gammas)
+    cuts = [*range(0, n - 1, size), n]  # to n - 1: a trailing one-point block joins the one before
+    per_point = np.ndim(x) > 0
+    return np.concatenate([
+        _weak_ce_block(rho4, x[s:e] if per_point else x, gammas[s:e], deltas[s:e])
+        for s, e in zip(cuts, cuts[1:])
+    ])
+
+
+def _weak_ce_block(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """`_batched_weak_ce` in one pass over the whole batch: one block.
+
     P(±x) come from `measure.weak_operators`, A's conditional states from
     `measure.conditional_blocks`, with the two outcomes on a batch axis and
     rows never stacked, so one trace, one eigvalsh and one entropy pass serve
@@ -124,10 +160,7 @@ def _batched_weak_ce(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray
     m = measure.conditional_blocks(rho4, measure.weak_operators(x, gammas, deltas))
     p = np.real(np.einsum("...ii->...", m))
     lam = np.linalg.eigvalsh(m)
-    # the blocks are freed and the pass works in place, so it holds no (2, n, dim_a)
-    # float array besides lam and terms; a degenerate row's spectrum, clipped into
-    # [0, 1], stays finite and is dropped by the last where
-    del m
+    # a degenerate row's spectrum, clipped into [0, 1], stays finite and is dropped by the last where
     lam /= np.maximum(p, 1e-300)[..., None]
     # np.clip without its wrapper's cost; it differs only in turning -0.0 into +0.0,
     # which the zero-based sums below cannot show

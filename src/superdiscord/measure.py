@@ -39,9 +39,6 @@ class QubitBasis:
         return np.array([-np.exp(-1j * self.delta) * s, c])
 
 
-COMPUTATIONAL = QubitBasis(0.0, 0.0)
-
-
 def basis_from_ket(v) -> QubitBasis:
     """Canonical (gamma, delta) for a unit ket, modulo global phase."""
     v = np.asarray(v, dtype=complex)
@@ -67,21 +64,30 @@ def same_basis(b1: QubitBasis, b2: QubitBasis, tol: float = 1e-4) -> bool:
 
 
 def real_strength(x) -> None:
-    """Reject a strength that is a bool or not a real number, with DomainError.
+    """Reject a strength that is a bool, not a real number or beyond float range, with DomainError.
 
     Python ints and floats and numpy real scalars pass; strings, None, complex
-    numbers, lists and arrays do not. The sign is `weak_amplitudes`'s check.
+    numbers, lists and arrays do not, nor an int such as 10**400 that no float
+    holds. The sign is `weak_amplitudes`'s check.
     """
-    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+    if type(x) is float:
+        return
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise DomainError(f"strength must be a real number, got {x!r}")
+    try:
+        float(x)
+    except OverflowError:
+        # no repr: a str of over 4300 digits raises ValueError
+        raise DomainError(f"strength must fit in a float, got {type(x).__name__} beyond float range") from None
 
 
 def weak_amplitudes(x: float) -> tuple[float, float]:
     """(a(x), a(-x)) with a(±x) = sqrt((1 ∓ tanh x)/2), for a strength x >= 0.
 
-    The one strength rule of the package: a bool or a non-real x raises
-    DomainError (`real_strength`), a negative or NaN x NegativeStrength, and
-    x = INFINITY gives tanh = 1 exactly, the projective limit a(x) = 0, a(-x) = 1.
+    The one strength rule of the package: a bool, a non-real x or an int beyond
+    float range raises DomainError (`real_strength`), a negative or NaN x
+    NegativeStrength, and x = INFINITY gives tanh = 1 exactly, the projective
+    limit a(x) = 0, a(-x) = 1.
     """
     real_strength(x)
     if not x >= 0:
@@ -162,7 +168,6 @@ def conditional_blocks(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     r = contraction_rows(rho) if rho.ndim == 4 else rho
     dim_a, batch = math.isqrt(r.shape[1]), ops.shape[:-2]
     t = np.matmul(ops, ops).reshape(*batch, 4)
-    del ops  # so the operators the kernel passes as a temporary are freed before the blocks exist
     t[..., 1:3] = t[..., 2:0:-1]  # T_bc = (P·P)_cb, swapped in place rather than copied
     return np.matmul(t, r).reshape(*batch, dim_a, dim_a)
 

@@ -1,4 +1,4 @@
-"""Closed-form oracles used as ground truth in tests, and a product-state helper.
+"""Closed-form oracles used as ground truth in tests, the computational basis and a product-state helper.
 
 They are independent of the package's numerics: each value comes from a closed
 form in the state's parameters, never from a minimization.
@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from superdiscord.errors import DomainError
+from superdiscord.measure import QubitBasis
 from superdiscord.qstate import DensityMatrix, validate
+
+COMPUTATIONAL = QubitBasis(0.0, 0.0)  # |0>, |1>
 
 
 def binary_entropy(p) -> float | np.ndarray:

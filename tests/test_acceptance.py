@@ -19,9 +19,9 @@ import pytest
 
 import superdiscord as sd
 from superdiscord import cli
-from superdiscord.measure import COMPUTATIONAL, INFINITY
+from superdiscord.measure import INFINITY
 
-from oracles import binary_entropy, oracle_pure_delta, oracle_werner
+from oracles import COMPUTATIONAL, binary_entropy, oracle_pure_delta, oracle_werner
 
 STRENGTHS = (0.1, 0.5, 1.0)
 ENSEMBLE_SIZE = 200

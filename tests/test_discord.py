@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,10 +11,10 @@ import superdiscord as sd
 from superdiscord import discord, measure
 from superdiscord.discord import DEFAULT_CONFIG, OptimizerConfig
 from superdiscord.errors import DomainError, NegativeStrength, NoConvergence
-from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis, same_basis
+from superdiscord.measure import INFINITY, QubitBasis, same_basis
 
 from conftest import bloch, random_unitary
-from oracles import binary_entropy, tensor
+from oracles import COMPUTATIONAL, binary_entropy, tensor
 
 FAST_CFG = OptimizerConfig(grid_gamma=32, grid_delta=32)
 
@@ -118,6 +119,25 @@ class TestMinimizer:
                 call(rho, x, FAST_CFG)
         with pytest.raises(DomainError, match="strength must be a real number"):
             sd.weak_conditional_entropy(rho, COMPUTATIONAL, x)
+        assert minimize_calls == []  # rejected before any minimization
+        assert rho._minima == {}
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda rho, x: sd.analyze(rho, x, FAST_CFG), id="analyze"),
+            pytest.param(lambda rho, x: sd.verify_resurrection(rho, x, FAST_CFG), id="verify_resurrection"),
+            pytest.param(lambda rho, x: sd.super_discord(rho, x, FAST_CFG), id="super_discord"),
+            pytest.param(lambda rho, x: sd.minimize_conditional_entropy(rho, x, FAST_CFG), id="minimize"),
+            pytest.param(lambda rho, x: sd.weak_conditional_entropy(rho, COMPUTATIONAL, x), id="weak_ce"),
+            pytest.param(lambda rho, x: sd.weak_pair(COMPUTATIONAL, x), id="weak_pair"),
+        ],
+    )
+    @pytest.mark.parametrize("x", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_rejects_int_strength_beyond_float_range(self, call, x, minimize_calls):
+        rho = sd.random_state(1)
+        with pytest.raises(DomainError, match="beyond float range"):
+            call(rho, x)
         assert minimize_calls == []  # rejected before any minimization
         assert rho._minima == {}
 
@@ -867,6 +887,57 @@ class TestKernelPort:
                     p = np.trace(m).real
                     assert o.probability == pytest.approx(p, rel=0, abs=1e-14)
                     np.testing.assert_allclose(o.conditional_state, m / p, rtol=0, atol=1e-14)
+
+
+class TestKernelBlocks:
+    """`_batched_weak_ce` on flat batches of several blocks against one `_weak_ce_block` pass: equal with ==."""
+
+    @staticmethod
+    def block_size(dim_a):
+        return max(2, discord.BLOCK_BYTES // (32 * dim_a * dim_a))
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, INFINITY, "per-point"])
+    @pytest.mark.parametrize("dim_a", [1, 3, 5, 7, 8])
+    def test_blocks_equal_one_pass(self, dim_a, x):
+        rho4 = sd.random_state(dim_a, dim_a=dim_a, rank=2 * dim_a).as_tensor()
+        rng = np.random.default_rng(dim_a)
+        for n in (2 * self.block_size(dim_a) + r for r in (0, 1, 2)):  # n = 0, 1 and 2 (mod B)
+            gammas, deltas = rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n)
+            xs = rng.choice([0.0, 0.5, INFINITY], n) if x == "per-point" else x
+            want = discord._weak_ce_block(rho4, xs, gammas, deltas)
+            assert np.array_equal(discord._batched_weak_ce(rho4, xs, gammas, deltas), want), n
+            rows = measure.contraction_rows(rho4)  # the refinement's form of ρ takes the same blocks
+            assert np.array_equal(discord._batched_weak_ce(rows, xs, gammas, deltas), want), n
+
+    @pytest.mark.parametrize("dim_a", [3, 8])
+    def test_blocks_are_bounded_and_never_one_row(self, dim_a, monkeypatch):
+        rho4 = sd.random_state(1, dim_a=dim_a, rank=2 * dim_a).as_tensor()
+        size, sizes = self.block_size(dim_a), []
+        inner = discord._weak_ce_block
+
+        def recording(rho4, x, gammas, deltas):
+            sizes.append(len(gammas))
+            return inner(rho4, x, gammas, deltas)
+
+        monkeypatch.setattr(discord, "_weak_ce_block", recording)
+        for n, blocks in ((size + 1, 1), (2 * size, 2), (2 * size + 1, 2), (2 * size + 2, 3)):
+            sizes.clear()
+            gg, dd = lattice(n, 1)
+            discord._batched_weak_ce(rho4, 0.5, gg, dd)
+            assert len(sizes) == blocks and sum(sizes) == n, (n, sizes)
+            assert min(sizes) >= 2 and max(sizes) <= size + 1, (n, sizes)
+
+    def test_lattice_call_memory_is_bounded(self):
+        rho4 = sd.random_state(1, dim_a=16, rank=32).as_tensor()
+        gg, dd = lattice(64, 64)
+        assert 32 * 16**2 * len(gg) >= 8 * discord.BLOCK_BYTES  # what one pass would hold: 32 MiB
+        tracemalloc.start()
+        try:
+            discord._batched_weak_ce(rho4, 0.5, gg, dd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * discord.BLOCK_BYTES
 
 
 class TestKernelInvariants:

@@ -6,9 +6,9 @@ import pytest
 import superdiscord as sd
 from superdiscord import families
 from superdiscord.errors import BadDimension, BadRank, DomainError
-from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis
+from superdiscord.measure import INFINITY, QubitBasis
 
-from oracles import binary_entropy, oracle_post_pure_wce, oracle_pure_delta, oracle_werner
+from oracles import COMPUTATIONAL, binary_entropy, oracle_post_pure_wce, oracle_pure_delta, oracle_werner
 
 
 PUBLIC_NAMES = [

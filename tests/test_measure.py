@@ -6,9 +6,9 @@ import pytest
 import superdiscord as sd
 from superdiscord import measure
 from superdiscord.errors import NegativeStrength
-from superdiscord.measure import COMPUTATIONAL, INFINITY, QubitBasis, basis_from_ket, same_basis
+from superdiscord.measure import INFINITY, QubitBasis, basis_from_ket, same_basis
 
-from oracles import tensor
+from oracles import COMPUTATIONAL, tensor
 
 
 def random_basis(rng):

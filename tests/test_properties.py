@@ -1,4 +1,4 @@
-"""Hypothesis property tests of the discords and of the measured state's landscape; skipped where hypothesis is not installed."""
+"""Hypothesis property tests of the discords, the resurrection law and the measured state's landscape; skipped where hypothesis is not installed."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 import superdiscord as sd
 from superdiscord.discord import OptimizerConfig
-from superdiscord.measure import INFINITY, QubitBasis
+from superdiscord.measure import INFINITY, QubitBasis, basis_from_ket, same_basis
 
 from conftest import bloch, random_unitary
 
@@ -68,7 +68,7 @@ def ginibre(seed, dim_a):
 
 
 class TestDiscordProperties:
-    """The order, limits, monotonicity and local-unitary invariance of D_s and D_w on Ginibre states."""
+    """The order, limits, monotonicity and local-unitary invariance (on A and on B) of D_s and D_w on Ginibre states."""
 
     @settings(max_examples=12, derandomize=True, deadline=None, database=None)
     @given(state=GINIBRE, x=st.floats(0.05, 4.0))
@@ -99,3 +99,30 @@ class TestDiscordProperties:
         before, after = sd.analyze(rho, x, SMALL), sd.analyze(rotated, x, SMALL)
         assert abs(after.discord - before.discord) <= 1e-8
         assert abs(after.super_discord - before.super_discord) <= 1e-8
+
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(state=GINIBRE, x=st.floats(0.05, 4.0), unitary_seed=st.integers(0, 10**6))
+    def test_local_unitary_on_b_keeps_both_discords_and_rotates_the_basis(self, state, x, unitary_seed):
+        rho = ginibre(*state)
+        u_b = random_unitary(np.random.default_rng(unitary_seed), 2)
+        u = np.kron(np.eye(rho.dim_a), u_b)
+        rotated = sd.validate(u @ rho.entries @ u.conj().T, dim_a=rho.dim_a)
+        before, after = sd.analyze(rho, x, SMALL), sd.analyze(rotated, x, SMALL)
+        assert abs(after.discord - before.discord) <= 1e-8
+        assert abs(after.super_discord - before.super_discord) <= 1e-8
+        # measuring ρ along n is measuring (I⊗U)ρ(I⊗U)† along U n
+        assert same_basis(after.strong_basis, basis_from_ket(u_b @ before.strong_basis.ket()))
+
+
+class TestResurrectionLaw:
+    """D_w(ρ̃) = S_w(ρ|n_s) − S(A|B)(ρ̃) exactly, with ρ̃ the state measured in the strong basis n_s."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(state=GINIBRE, x=st.floats(0.05, 4.0))
+    def test_post_super_discord_is_the_weak_entropy_in_the_strong_basis(self, state, x):
+        rho = ginibre(*state)
+        rec = sd.verify_resurrection(rho, x, SMALL)
+        n_s = rec.strong_basis
+        post = sd.project_state(rho, n_s)
+        want = sd.weak_conditional_entropy(rho, n_s, x) - sd.quantum_conditional_entropy(post)
+        assert abs(rec.post_super_discord - want) <= 1e-9
