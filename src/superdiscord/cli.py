@@ -74,7 +74,10 @@ def _json_numbers(value) -> bool:
 
 def load_state_file(path: str) -> DensityMatrix:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # json's decoder recurses once per nesting level
+            raise QuantumStateError("state file nests too deeply to parse") from None
     if not isinstance(data, dict):
         raise QuantumStateError(f"state file must hold a JSON object, got {type(data).__name__}")
     for key in ("dim_a", "dim_b", "re", "im"):

@@ -18,29 +18,26 @@ and stops once no point left can be the minimum, a tie or the maximum (see
 conditional entropy, bit for bit: the lattice, the refinement's objective
 and `weak_conditional_entropy` (strong at x = INFINITY). It takes both
 outcomes P(x), P(-x) in one pass, on a batch axis with their rows never
-stacked, so a refinement point costs one eigvalsh and one entropy pass; the
-objective calls it directly, without building a QubitBasis, with its points
-on a batch axis so that each gets the value it would get alone. It walks a
-flat batch in blocks of about BLOCK_BYTES of conditional states, never of one
-row, so a scan's memory is bounded at any dim_a and each point's value is the
-one a single pass would give it, bit for bit. The refinement is an
+stacked, so a refinement point costs one eigvalsh and one entropy pass. It
+walks a flat batch in blocks of about BLOCK_BYTES of conditional states, never
+of one row, so a scan's memory is bounded at any dim_a and each point's value
+is the one a single pass would give it, bit for bit. The refinement is an
 in-package port of scipy's default Nelder-Mead that keeps its iterates bit
-for bit, so numpy is the only runtime dependency. Each of
-its iterations evaluates the reflected point and the inside contraction in
-one kernel call, and calls again only for an expansion, an outside
-contraction or a shrink; its evaluation count is still scipy's. It is a
-generator of the points each step needs (`_nm_steps`), so the refinements of
-one state at several strengths advance in lockstep (`_minimize_jointly`):
-each round sends every live refinement's points to the kernel in one call,
-each point with its own strength, and each gets the value it would get
-alone. `analyze` finds its strong and weak minima that way, with as many
-calls as the longer refinement makes alone; every minimum that succeeds is
-kept on the state, and the first NoConvergence in strength order, the strong
-one first, is raised. The refinement's constants are fixed, not options:
-angle tolerance 1e-8, value tolerance FLAT_TOL and at most MAX_REFINE_ITERS
-iterations, the settings every reported number has been computed with. It
-has no evaluation budget, because the iteration cap already bounds the
-evaluations (see `_nm_steps`).
+for bit, so numpy is the only runtime dependency. Each of its iterations
+evaluates the reflected point and the inside contraction in one kernel call,
+and calls again only for an expansion, an outside contraction or a shrink;
+its evaluation count is still scipy's. One driver,
+`_nm_minimize`, runs every refinement: one run per strength whose lattice is
+not flat, all advanced in lockstep, each round's points sent to the kernel
+in one call on a batch axis, each point with its own strength, so each gets
+the value it would get alone. `analyze` so refines its strong and weak
+minima with as many calls as the longer refinement makes alone; every
+minimum that succeeds is kept on the state, and the first NoConvergence in
+strength order, the strong one first, is raised. The refinement's constants
+are fixed, not options: angle tolerance 1e-8, value tolerance FLAT_TOL and at
+most MAX_REFINE_ITERS iterations, the settings every reported number has been
+computed with. It has no evaluation budget, because the iteration cap already
+bounds the evaluations (see `_nm_steps`).
 """
 
 from __future__ import annotations
@@ -128,8 +125,7 @@ def _batched_weak_ce(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray
     calls through the module attribute, so a call is one kernel call however
     many blocks it takes.
     """
-    dim_a_sq = rho4.size // 4  # ρ's indices (a, b, a', b') or its (4, dim_a²) contraction rows
-    size = max(2, BLOCK_BYTES // (32 * dim_a_sq))
+    size = max(2, BLOCK_BYTES // (32 * rho4.shape[0] ** 2))
     if gammas.ndim != 1 or len(gammas) <= size + 1:
         return _weak_ce_block(rho4, x, gammas, deltas)
     n = len(gammas)
@@ -152,10 +148,8 @@ def _weak_ce_block(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray) 
     lone point takes and gets its value bit for bit. x is one strength, or an
     array of the angles' shape with each point's own, so that points of
     refinements at several strengths share a call. rho4 is ρ as indices
-    (a, b, a', b') or, for a caller that evaluates one state many times, its
-    `measure.contraction_rows`. The outcomes are added to zeros one after the
-    other: a pure conditional state gives -0.0 per outcome, and the sum stays
-    +0.0.
+    (a, b, a', b'). The outcomes are added to zeros one after the other: a
+    pure conditional state gives -0.0 per outcome, and the sum stays +0.0.
     """
     m = measure.conditional_blocks(rho4, measure.weak_operators(x, gammas, deltas))
     p = np.real(np.einsum("...ii->...", m))
@@ -339,19 +333,32 @@ class _NMResult:
     flat: bool  # the final simplex values lie within FLAT_TOL of the best, scipy's fatol test
 
 
-def _nm_minimize(fun, x0) -> _NMResult:
-    """Nelder-Mead on two variables, step for step as scipy's default method: `_nm_steps` driven by one objective.
+def _nm_minimize(fun, starts) -> list[_NMResult]:
+    """Nelder-Mead on two variables from each start, step for step as scipy's default method.
 
-    `fun` maps a list of points to their values; it is given each list of
-    points `_nm_steps` asks for, in one call.
+    The package's one driver of `_nm_steps`: one run per start, advanced in
+    lockstep. Each round calls `fun` once with a list of (run, point) pairs,
+    every live run's pending points with runs in start order, and takes their
+    values as a list of floats in that order; a run that has finished drops
+    out. So `fun` is called as often as the longest run calls it alone and,
+    provided each point gets the value it would get alone, each run takes the
+    steps it takes alone. Returns the `_NMResult`s in start order.
     """
-    steps = _nm_steps(x0)
-    points = next(steps)
-    while True:
-        try:
-            points = steps.send([float(v) for v in fun(points)])
-        except StopIteration as stop:
-            return stop.value
+    runs = [_nm_steps(x0) for x0 in starts]
+    pending = {r: next(run) for r, run in enumerate(runs)}  # each live run's points
+    results = [None] * len(runs)
+    while pending:
+        values = fun([(r, p) for r, points in pending.items() for p in points])
+        start = 0
+        for r, points in list(pending.items()):
+            stop = start + len(points)
+            try:
+                pending[r] = runs[r].send(values[start:stop])
+            except StopIteration as done:
+                results[r] = done.value
+                del pending[r]
+            start = stop
+    return results
 
 
 def _nm_steps(x0):
@@ -376,8 +383,6 @@ def _nm_steps(x0):
     evaluated and dropped. ``nfev`` counts the evaluations scipy's method
     makes, not the points asked for, so every field is the same as with one
     point per list, provided each point gets the value it would get alone.
-    Being a generator, it lets one caller advance several refinements in
-    lockstep and evaluate all their points together (`_minimize_jointly`).
 
     That maxfev never binds, so it is not checked: the simplex costs 3
     evaluations and each iteration at most 4 (reflect, contract, two shrink
@@ -476,13 +481,11 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     Each entry is, at its strength, the MinimizationResult, or the
     NoConvergence that `_minimize` raises; a bad strength raises at once. The
     lattices are scanned one after the other, as `_minimize` scans each. Every
-    lattice that is not flat starts a `_nm_steps` refinement from its best
-    point, and each round sends the pending points of every live refinement
-    to the kernel in one call, on a batch axis with each point's own strength,
-    so each point gets the value it would get alone and each refinement takes
-    the steps it takes alone. The rounds are as many as the longest
-    refinement's calls, not the sum over refinements, and ρ's contraction rows
-    are built once for all of them.
+    lattice that is not flat starts a refinement from its best point, and one
+    `_nm_minimize` call runs them all. Its objective puts each point on a
+    batch axis with its run's strength, so each point gets the value it would
+    get alone and each refinement takes the steps it takes alone; the kernel
+    calls are as many as the longest refinement's, not the sum over them.
     """
     rho4 = rho.as_tensor()
     gammas = np.linspace(0.0, math.pi, cfg.grid_gamma)
@@ -502,29 +505,21 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
         scans.append((vals, vmin, float(vals.max()) - vmin, int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])))
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
-    steps = {j: _nm_steps((gg[idx], dd[idx])) for j, (_, _, spread, idx) in enumerate(scans) if spread >= FLAT_TOL}
-    pending = {j: next(gen) for j, gen in steps.items()}  # each live refinement's points, by strength index
-    rows = measure.contraction_rows(rho4) if pending else None
-    refined = {}
-    while pending:
-        # (k, 1) angles: each point on a batch axis, as if alone; one live refinement passes
-        # its strength as a scalar, so a lone minimization's calls cost what they cost before
-        if len(pending) == 1:
-            [(j, points)] = pending.items()
-            g, d = np.array(points).T[:, :, None]
-            x = xs[j]
+    starts = {j: (gg[idx], dd[idx]) for j, (_, _, spread, idx) in enumerate(scans) if spread >= FLAT_TOL}
+    strengths = [xs[j] for j in starts]  # by run
+
+    def objective(pairs):
+        # (k, 1) angles: each point on a batch axis, as if alone; one live run passes its
+        # strength as a scalar, so a lone minimization's calls cost what they cost before
+        if pairs[0][0] == pairs[-1][0]:
+            g, d = np.array([p for _, p in pairs]).T[:, :, None]
+            x = strengths[pairs[0][0]]
         else:
-            g, d, x = np.array([(*p, xs[j]) for j, points in pending.items() for p in points]).T[:, :, None]
-        vals = _batched_weak_ce(rows, x, g, d)[:, 0].tolist()
-        start = 0
-        for j, points in list(pending.items()):
-            stop = start + len(points)
-            try:
-                pending[j] = steps[j].send(vals[start:stop])
-            except StopIteration as done:
-                refined[j] = done.value
-                del pending[j]
-            start = stop
+            g, d, x = np.array([(*p, strengths[r]) for r, p in pairs]).T[:, :, None]
+        return _batched_weak_ce(rho4, x, g, d)[:, 0].tolist()
+
+    # no call when every lattice is flat, so that an `_nm_minimize` call always refines something
+    refined = dict(zip(starts, _nm_minimize(objective, list(starts.values())))) if starts else {}
 
     out = []
     for j, (vals, vmin, spread, idx) in enumerate(scans):

@@ -146,27 +146,20 @@ class MeasurementOutcome:
     degenerate: bool = False
 
 
-def contraction_rows(rho4: np.ndarray) -> np.ndarray:
-    """ρ, given as indices (a, b, a', b'), laid out as the (4, dim_a²) rows (bc, ij) that `conditional_blocks` contracts against."""
-    dim_a = rho4.shape[0]
-    return np.einsum("ibjc->bcij", rho4).reshape(4, dim_a * dim_a)
-
-
-def conditional_blocks(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+def conditional_blocks(rho4: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """M_ij = Σ_abc P_ab ρ_ibjc P_ca, the unnormalized states of A, for a (..., n, 2, 2) stack of P.
 
-    rho is ρ as indices (a, b, a', b'), or its `contraction_rows`, which a
-    caller that contracts one state many times builds once; the result is
-    (..., n, dim_a, dim_a). These are, bit for bit, the two matmuls
+    rho4 is ρ as indices (a, b, a', b'); the result is (..., n, dim_a, dim_a).
+    These are, bit for bit, the two matmuls
     ``np.einsum("gab,ibjc,gca->gij", P, ρ, P, optimize=True)`` plans for each
-    batch, without its per-call planning: P·P, then its transpose T as
-    (n, 4) rows T_bc against ρ laid out as (bc, ij). The leading axes,
-    such as the two outcomes, are batch axes of each matmul and their rows are
-    never stacked: matmul takes another path for one row than for several, so
+    batch, without its per-call planning: P·P, then its transpose T as (n, 4)
+    rows T_bc against ρ copied into the layout (bc, ij). The leading axes, such
+    as the two outcomes, are batch axes of each matmul and their rows are never
+    stacked: matmul takes another path for one row than for several, so
     stacking would change values at odd dim_a.
     """
-    r = contraction_rows(rho) if rho.ndim == 4 else rho
-    dim_a, batch = math.isqrt(r.shape[1]), ops.shape[:-2]
+    dim_a, batch = rho4.shape[0], ops.shape[:-2]
+    r = rho4.transpose(1, 3, 0, 2).reshape(4, dim_a * dim_a)
     t = np.matmul(ops, ops).reshape(*batch, 4)
     t[..., 1:3] = t[..., 2:0:-1]  # T_bc = (P·P)_cb, swapped in place rather than copied
     return np.matmul(t, r).reshape(*batch, dim_a, dim_a)

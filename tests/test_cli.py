@@ -368,6 +368,24 @@ class TestErrorPaths:
         assert run(capsys, "report", "--state", f"file:{path}") == (2, "")
 
     @pytest.mark.parametrize(
+        "depth, message",
+        [
+            # json's decoder raises RecursionError from about 1000 levels on
+            (100_000, "error: state file nests too deeply to parse\n"),
+            (500, "error: state file 're' and 'im' must be rectangular: "),
+        ],
+        ids=["beyond-the-decoder", "beyond-numpy"],
+    )
+    def test_deeply_nested_state_file(self, capsys, tmp_path, minimize_calls, depth, message):
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim_a": 2, "dim_b": 2, "re": ' + "[" * depth + "]" * depth + ', "im": []}')
+        rc = cli.main(["report", "--state", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith(message)
+        assert minimize_calls == []
+
+    @pytest.mark.parametrize(
         "dim_a, re, im",
         [
             (1, (np.eye(2) / 2).tolist(), 0),

@@ -477,6 +477,37 @@ class TestBellDiagonal:
         assert rec.gap <= 1e-12
 
 
+def x_state(seed):
+    """A two-qubit X state: a Dirichlet diagonal (a, b, c, d), real coherences 0 ≤ z ≤ √(ad) and 0 ≤ w ≤ √(bc)."""
+    rng = np.random.default_rng(seed)
+    a, b, c, d = rng.dirichlet(np.ones(4))
+    m = np.diag([a, b, c, d])
+    m[0, 3] = m[3, 0] = rng.uniform() * math.sqrt(a * d)
+    m[1, 2] = m[2, 1] = rng.uniform() * math.sqrt(b * c)
+    return sd.validate(m, dim_a=2)
+
+
+class TestXStates:
+    """X states (Ali, Rau & Alber, PRA 81, 042105 (2010); Chen et al., PRA 84, 042313 (2011)),
+    used one-sided: each minimum is at most its value at σ_z and at σ_x, the candidate
+    bases of the closed forms. σ_x, γ = π/2, is not on the default lattice's 64 γ points,
+    so the refinement must reach it. Where the strong and weak minimizers share an axis,
+    the resurrection gap is zero.
+    """
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_minima_within_candidates(self, seed):
+        rho = x_state(seed)
+        rec = sd.verify_resurrection(rho, 0.5)
+        rep = rec.report
+        for x, value in ((INFINITY, rep.discord), (0.5, rep.super_discord)):
+            candidates = [sd.weak_conditional_entropy(rho, b, x) - rep.conditional_entropy_qq
+                          for b in (COMPUTATIONAL, QubitBasis(math.pi / 2, 0.0))]
+            assert value <= min(candidates) + 1e-12, x
+        if same_basis(rep.strong_basis, rep.weak_basis):
+            assert rec.gap <= 1e-9
+
+
 class TestAnalyze:
     def test_report_consistency(self):
         rep = sd.analyze(sd.werner(0.7), 0.5)
@@ -733,8 +764,8 @@ def weak_ce_objective_of(rho, x):
 
 
 def pointwise(fun):
-    """The list-of-points objective `_nm_minimize` takes, from a scalar function."""
-    return lambda pts: [fun(p) for p in pts]
+    """The list-of-(run, point)-pairs objective `_nm_minimize` takes, from a scalar function."""
+    return lambda pairs: [fun(p) for _, p in pairs]
 
 
 class TestNelderMeadPort:
@@ -758,7 +789,7 @@ class TestNelderMeadPort:
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", maxiter)
         options = {"xatol": 1e-8, "fatol": 1e-8, "maxiter": maxiter, "maxfev": 4 * maxiter}
         ref = minimize(fun, list(x0), method="Nelder-Mead", options=options)
-        res = discord._nm_minimize(pointwise(fun), x0)
+        (res,) = discord._nm_minimize(pointwise(fun), [x0])
         assert (tuple(res.x), res.fun, res.nfev, res.success) == (
             tuple(ref.x), ref.fun, ref.nfev, ref.success
         )
@@ -787,20 +818,50 @@ class TestNelderMeadPort:
         assert len(counts) == 3
         assert all(calls < 0.7 * nfev for calls, nfev in counts), counts
 
+    def test_lockstep_runs_match_scipy_alone(self):
+        # three objectives routed by run index, in one call, finishing in different rounds
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        options = {"xatol": 1e-8, "fatol": 1e-8, "maxiter": 500, "maxfev": 2000}
+        funs = [rosenbrock, weak_ce_objective(0, 0.5), weak_ce_objective(1, INFINITY)]
+        starts = [(-1.2, 1.0), (0.7, 1.3), (1.2, 0.0)]
+
+        def counted(fun, calls):
+            def counting(pairs):
+                calls.append(len(pairs))
+                return fun(pairs)
+            return counting
+
+        alone = []
+        for fun, x0 in zip(funs, starts):
+            calls = []
+            discord._nm_minimize(counted(pointwise(fun), calls), [x0])
+            alone.append(calls)
+        assert len({len(calls) for calls in alone}) == len(alone)  # each run ends in its own round
+        calls = []
+        results = discord._nm_minimize(counted(lambda pairs: [funs[r](p) for r, p in pairs], calls), starts)
+        assert len(results) == len(starts)
+        for fun, x0, res in zip(funs, starts, results):
+            ref = minimize(fun, list(x0), method="Nelder-Mead", options=options)
+            assert (tuple(res.x), res.fun, res.nfev, res.success) == (
+                tuple(ref.x), ref.fun, ref.nfev, ref.success
+            )
+        assert len(calls) == max(len(c) for c in alone)
+        assert sum(calls) == sum(sum(c) for c in alone)  # every run's points, each once
+
     def test_failure_branches_reached(self, monkeypatch):
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
-        assert not discord._nm_minimize(pointwise(rosenbrock), (-1.2, 1.0)).success
+        assert not discord._nm_minimize(pointwise(rosenbrock), [(-1.2, 1.0)])[0].success
 
     def test_flat_simplex_without_success(self):
         # on the pole the values settle at 0 while delta wanders
         fun = weak_ce_objective_of(sd.validate(CLASSICAL, dim_a=2), INFINITY)
-        res = discord._nm_minimize(pointwise(fun), (0.0, 0.0))
+        (res,) = discord._nm_minimize(pointwise(fun), [(0.0, 0.0)])
         assert (res.success, res.flat, res.fun) == (False, True, 0.0)
 
     def test_success_is_flat(self, monkeypatch):
-        assert discord._nm_minimize(pointwise(rosenbrock), (-1.2, 1.0)).flat
+        assert discord._nm_minimize(pointwise(rosenbrock), [(-1.2, 1.0)])[0].flat
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
-        assert not discord._nm_minimize(pointwise(rosenbrock), (-1.2, 1.0)).flat
+        assert not discord._nm_minimize(pointwise(rosenbrock), [(-1.2, 1.0)])[0].flat
 
 
 def einsum_weak_ce(rho4, x, gammas, deltas):
@@ -906,8 +967,6 @@ class TestKernelBlocks:
             xs = rng.choice([0.0, 0.5, INFINITY], n) if x == "per-point" else x
             want = discord._weak_ce_block(rho4, xs, gammas, deltas)
             assert np.array_equal(discord._batched_weak_ce(rho4, xs, gammas, deltas), want), n
-            rows = measure.contraction_rows(rho4)  # the refinement's form of ρ takes the same blocks
-            assert np.array_equal(discord._batched_weak_ce(rows, xs, gammas, deltas), want), n
 
     @pytest.mark.parametrize("dim_a", [3, 8])
     def test_blocks_are_bounded_and_never_one_row(self, dim_a, monkeypatch):
