@@ -60,16 +60,17 @@ def _basis_dict(b: QubitBasis) -> dict:
     return {"gamma": float(b.gamma), "delta": float(b.delta)}
 
 
-def _json_numbers(value) -> bool:
-    """Whether every leaf of the nested lists in `value` is a JSON number, which loads as an int or a float."""
-    stack = [value]
+def _json_depth(value) -> int | None:
+    """How deep the lists in `value` nest, or None unless every leaf is a JSON number (an int or a float)."""
+    stack, depth = [(value, 0)], 0
     while stack:
-        item = stack.pop()
+        item, level = stack.pop()
         if type(item) is list:
-            stack.extend(item)
+            depth = max(depth, level + 1)
+            stack.extend((v, level + 1) for v in item)
         elif type(item) not in (int, float):  # bool, str, None and dict are no number
-            return False
-    return True
+            return None
+    return depth
 
 
 def load_state_file(path: str) -> DensityMatrix:
@@ -85,8 +86,11 @@ def load_state_file(path: str) -> DensityMatrix:
             raise QuantumStateError(f"state file missing key '{key}'")
     if type(data["dim_b"]) is not int or data["dim_b"] != 2:  # B is a qubit; 2.0 and true are no dimension
         raise BadDimension(f"state file 'dim_b' must be the integer 2, got {data['dim_b']!r}")
-    if not all(_json_numbers(data[key]) for key in ("re", "im")):  # numpy would convert true and "0.5"
+    depths = [_json_depth(data[key]) for key in ("re", "im")]
+    if None in depths:  # numpy would convert true and "0.5"
         raise QuantumStateError("state file 're' and 'im' entries must be JSON numbers")
+    if max(depths) > 2:  # numpy would read the nesting as rows, or fail beyond its 64 dimensions
+        raise BadDimension(f"state file 're' and 'im' must be matrices, got lists nested {max(depths)} deep")
     try:
         re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
     except ValueError as exc:  # rows of unequal length

@@ -3,20 +3,22 @@ the post-measurement resurrection check.
 
 The basis minimization is a two-phase scheme: exhaustive evaluation on a
 (gamma, delta) lattice, then Nelder-Mead refinement from the best lattice
-point. Each lattice scan gives the full scan's min, max, argmin and first tie
-bit for bit, but sends the kernel only the points that can decide them. At
-dim_a = 2, A's conditional states have a closed form whose 2×2 eigenvalues
-screen the whole lattice within rounding, and only the points near the
-screen's min or max go to the kernel (see `_screened_values`). At other
-dim_a the scan evaluates each measurement once: n and -n are one measurement
-with its outcomes swapped, so an even grid_delta evaluates one hemisphere
-(see `_lattice_values`). The resurrection check's measured state ρ̃,
-decohered along n_s, has a landscape that depends on c = |m·n_s| alone and
-never rises with c, so its scan evaluates the lattice from both ends of c
-and stops once no point left can be the minimum, a tie or the maximum (see
-`_axial_values`). One kernel, `_batched_weak_ce`, gives every reported
-conditional entropy, bit for bit: the lattice, the refinement's objective
-and `weak_conditional_entropy` (strong at x = INFINITY). It takes both
+point. A lattice scan sends the kernel only the points that can decide what
+the minimization reads off it, and leaves every other point NaN: not
+evaluated. The scan contract: its nanmin, nanmax and nanargmin and its first
+point within FLAT_TOL of the min equal the full scan's min, max, argmin and
+first tie bit for bit, and every value it holds is the full scan's with ==.
+Two scans keep it. An unmeasured state's (`_lattice_values`) takes an
+estimate within 1e-8 of the kernel at every point, the closed-form 2×2
+eigenvalues at dim_a = 2 or one hemisphere at other dim_a (n and -n are one
+measurement with its outcomes swapped), and evaluates the points near its min
+or max. The resurrection check's measured state ρ̃, decohered along n_s, has
+a landscape that depends on c = |m·n_s| alone and never rises with c, so its
+scan (`_axial_values`) evaluates the lattice from both ends of c and stops
+once no point left can be the min, a tie or the max. One kernel,
+`_batched_weak_ce`, gives every reported conditional entropy, bit for bit:
+the lattice, the refinement's objective and `weak_conditional_entropy`
+(strong at x = INFINITY). It takes both
 outcomes P(x), P(-x) in one pass, on a batch axis with their rows never
 stacked, so a refinement point costs one eigvalsh and one entropy pass. It
 walks a flat batch in blocks of about BLOCK_BYTES of conditional states, never
@@ -59,11 +61,11 @@ class OptimizerConfig:
 
     grid_gamma points span gamma in [0, pi], poles included, so at least 3 are
     needed for a point off the poles; grid_delta points span delta in [0, 2 pi).
-    At dim_a = 2 a closed-form screen picks the points the kernel evaluates.
-    Otherwise an even grid_delta puts every point's antipode on the lattice,
-    so only the upper hemisphere is evaluated, plus the lower points that
-    could tie its min or max; an odd one is scanned in full. The lattice min,
-    max and ties are the full scan's either way.
+    The scan estimates the lattice, in closed form at dim_a = 2 and otherwise
+    from the upper hemisphere when an even grid_delta puts every point's
+    antipode on the lattice, and evaluates only the points near the
+    estimate's min or max; at other dim_a an odd grid_delta is scanned in
+    full. The lattice min, max and ties are the full scan's either way.
     """
 
     grid_gamma: int = 64
@@ -172,42 +174,39 @@ def _weak_ce_block(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray) 
 def _lattice_values(
     rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig
 ) -> np.ndarray:
-    """`_batched_weak_ce` on the row-major lattice, evaluated once per measurement.
+    """`_batched_weak_ce` on the row-major lattice where it can decide the summary, NaN elsewhere.
 
-    The measurement along -n is the one along n with its outcomes swapped, so
-    both have one value. For even grid_delta the antipode of row k, column j is
-    row G-1-k, column j + D/2 (mod D), and the rows k < ceil(G/2) hold an
-    antipode of every lower point. Those rows are evaluated; a lower point only
-    when its antipode lies within FLAT_TOL of their min or max. Every other
-    lower point gets its antipode's value, strictly inside (min, max), so the
-    min, max, argmin and first FLAT_TOL tie equal the full scan's with ==.
-    Odd grid_delta has no antipodes on the lattice and is scanned in full.
+    An estimate within ε of the kernel at every point, 2ε far below the 1e-8
+    margins, picks the points: `_bloch_screen` at dim_a = 2; otherwise, for
+    even grid_delta, the kernel on the rows k < ceil(G/2), each lower point
+    taking its antipode's value (n and -n are one measurement with its
+    outcomes swapped, and row G-1-k, column j + D/2 mod D is the antipode of
+    row k, column j). The points within FLAT_TOL + 1e-8 of its min or 1e-8 of
+    its max, which hold the kernel's min, ties and max, go to the kernel in
+    one batch: never one row, since it holds the estimate's argmin and argmax,
+    or every point when the estimate is flat. Odd grid_delta at dim_a != 2
+    has no antipodes on the lattice and is scanned in full.
     """
-    n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
-    if n_delta % 2:
+    if rho4.shape[0] == 2:
+        est = _bloch_screen(rho4, x, gg, dd)
+    elif cfg.grid_delta % 2:
         return _batched_weak_ce(rho4, x, gg, dd)
-    n_top = (n_gamma + 1) // 2 * n_delta
-    vals = _batched_weak_ce(rho4, x, gg[:n_top], dd[:n_top])
-    row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
-    lower = vals[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]
-    need = (lower <= vals.min() + FLAT_TOL) | (lower >= vals.max() - FLAT_TOL)
-    if np.count_nonzero(need) == 1:
-        need[:2] = True  # matmul takes another path for one row, off by an ulp at odd dim_a
-    pick = n_top + np.flatnonzero(need)
-    if len(pick):
-        lower[need] = _batched_weak_ce(rho4, x, gg[pick], dd[pick])
-    return np.concatenate([vals, lower])
+    else:
+        n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
+        n_top = (n_gamma + 1) // 2 * n_delta
+        top = _batched_weak_ce(rho4, x, gg[:n_top], dd[:n_top])
+        row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
+        est = np.concatenate([top, top[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]])
+    pick = np.flatnonzero((est <= est.min() + FLAT_TOL + 1e-8) | (est >= est.max() - 1e-8))
+    vals = np.full(len(gg), np.nan)
+    vals[pick] = _batched_weak_ce(rho4, x, gg[pick], dd[pick])
+    return vals
 
 
 def _axial_values(
     rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig, axis
 ) -> np.ndarray:
-    """The lattice of a state decohered along `axis`, evaluated from both ends of c = |m·axis|.
-
-    Contract, as for `_lattice_values`: the min, max, argmin and first
-    FLAT_TOL tie of the result equal the full scan's with ==. Every evaluated
-    point takes the kernel's multi-row path, as the full scan's do, and every
-    other point gets an evaluated value that can be none of the four.
+    """The lattice of a state decohered along `axis`, evaluated from both ends of c = |m·axis|, NaN elsewhere.
 
     Decohered along n, a state's R_k = Tr_B[(I⊗σ_k)ρ] is (n·R)n, so A's
     conditional states along m are (ρ_A ∓ t(m·n)(n·R))/2 and S_w(m) is an
@@ -217,18 +216,17 @@ def _axial_values(
     FLAT_TOL + 1e-8 above the running min, so no point left can be the min or
     a FLAT_TOL tie; then smallest c first, until the last one lies more than
     1e-8 below the running max, so no point left can reach the max. The 1e-8
-    margins cover the kernel's rounding many times over. Each point left gets
-    the value at which the first pass stopped, which lies in
-    (min + FLAT_TOL, max]. A flat landscape (n·R = 0, as when B is maximally
-    mixed and uncorrelated) never stops the first pass, so every point is
-    evaluated.
+    margins cover the kernel's rounding many times over. Every chunk takes
+    the kernel's multi-row path, as the full scan does, and every point left
+    stays NaN. A flat landscape (n·R = 0, as when B is maximally mixed and
+    uncorrelated) never stops the first pass, so every point is evaluated.
     """
     n_delta = cfg.grid_delta
     gammas, deltas = gg[::n_delta], dd[:n_delta]
     c = np.multiply.outer(np.sin(gammas), axis[0] * np.cos(deltas) + axis[1] * np.sin(deltas))
     c += np.cos(gammas)[:, None] * axis[2]
     order = np.argsort(np.abs(c, out=c).ravel())  # c ascending; any order of ties will do
-    vals = np.empty(len(order))
+    vals = np.full(len(order), np.nan)
     lo, hi = 0, len(order)  # order[lo:hi] is not evaluated yet
 
     def chunk(size):
@@ -245,8 +243,8 @@ def _axial_values(
         k = chunk(size)
         hi -= k
         v = evaluate(order[hi : hi + k][::-1])
-        vmin, stop = min(vmin, v.min()), v[-1]
-        if stop > vmin + FLAT_TOL + 1e-8:
+        vmin = min(vmin, v.min())
+        if v[-1] > vmin + FLAT_TOL + 1e-8:
             break
         size *= 2
     vmax, size = vals[order[hi:]].max(), AXIAL_CHUNK
@@ -258,7 +256,6 @@ def _axial_values(
         if v[-1] < vmax - 1e-8:
             break
         size *= 2
-    vals[order[lo:hi]] = stop
     return vals
 
 
@@ -296,31 +293,6 @@ def _bloch_screen(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) ->
         for q in (0.5 + gap, 0.5 - gap):  # the normalized eigenvalues
             np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
             vals -= np.where(p > measure.DEGENERATE_PROB, p * q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-    return vals
-
-
-def _screened_values(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) -> np.ndarray:
-    """The lattice at dim_a = 2, with the kernel run only where its min, max or ties can lie.
-
-    Contract, as for `_lattice_values`: the min, max, argmin and first
-    FLAT_TOL tie of the result equal the full scan's with ==.
-
-    `_bloch_screen` gives every point's value within ε of the kernel's, with
-    ε ≤ 1.9e-14 measured, so the margins of 1e-8 exceed 2ε many times over.
-    Then every point whose kernel value is the min or within FLAT_TOL of it
-    has a screen value within FLAT_TOL + 1e-8 of the screen's min, and the
-    kernel's max lies on a point within 1e-8 of the screen's max. Those points
-    go to the kernel in one batch of rows, as in the full scan, and get its
-    values bit for bit. The screen's argmin and argmax are two points unless it
-    is flat, and then every point goes, so the batch never has fewer than two
-    rows. Every other point lies more than FLAT_TOL above the min and gets the
-    largest kernel value.
-    """
-    screen = _bloch_screen(rho4, x, gg, dd)
-    pick = np.flatnonzero((screen <= screen.min() + FLAT_TOL + 1e-8) | (screen >= screen.max() - 1e-8))
-    exact = _batched_weak_ce(rho4, x, gg[pick], dd[pick])
-    vals = np.full(len(gg), exact.max())
-    vals[pick] = exact
     return vals
 
 
@@ -463,11 +435,9 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> 
 
     A joint minimization (`_minimize_jointly`) with one strength, whose
     NoConvergence it raises. `axis`, the Bloch vector of the basis rho was
-    decohered in, lets the lattice scan skip points that cannot decide its
-    summary (`_axial_values`); the result is the same with or without it.
-    Without one, dim_a = 2 takes the closed-form screen (`_screened_values`)
-    and other dim_a the hemisphere scan (`_lattice_values`), with the same
-    result either way.
+    decohered in, selects the measured state's scan (`_axial_values`) in
+    place of `_lattice_values`; both keep the scan contract, so the result is
+    the same with or without it.
     """
     (res,) = _minimize_jointly(rho, [x], cfg, axis)
     if isinstance(res, NoConvergence):
@@ -494,15 +464,13 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     gg, dd = gg.ravel(), dd.ravel()
     scans = []
     for x in xs:
-        if axis is not None:
-            vals = _axial_values(rho4, x, gg, dd, cfg, axis)
-        elif rho.dim_a == 2:
-            vals = _screened_values(rho4, x, gg, dd)
-        else:
+        if axis is None:
             vals = _lattice_values(rho4, x, gg, dd, cfg)
-        vmin = float(vals.min())
-        # ties broken toward smallest gamma, then delta (row-major, gamma outer)
-        scans.append((vals, vmin, float(vals.max()) - vmin, int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])))
+        else:
+            vals = _axial_values(rho4, x, gg, dd, cfg, axis)
+        vmin = float(np.nanmin(vals))
+        # ties broken toward smallest gamma, then delta (row-major, gamma outer); NaN is no tie
+        scans.append((vals, vmin, float(np.nanmax(vals)) - vmin, int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])))
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
     starts = {j: (gg[idx], dd[idx]) for j, (_, _, spread, idx) in enumerate(scans) if spread >= FLAT_TOL}
@@ -536,7 +504,7 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
         elif res.fun <= vmin:
             g_best, d_best, v_best = float(res.x[0]), float(res.x[1]), float(res.fun)
         else:
-            jmin = int(np.argmin(vals))
+            jmin = int(np.nanargmin(vals))
             g_best, d_best, v_best = float(gg[jmin]), float(dd[jmin]), vmin
         # fold arbitrary refined angles back into canonical ranges
         basis = measure.basis_from_ket(QubitBasis(g_best, d_best).ket())
@@ -652,10 +620,11 @@ def verify_resurrection(
     concavity makes S_w(ρ̃|m) a function of c = |m·n_s| that never increases
     with c, so that minimization's lattice scan is given n_s's Bloch vector and
     evaluates only the points that can be its min, FLAT_TOL ties or max
-    (`_axial_values`). Of the default 4096 points that is 32 for a generic
-    n_s, 256 on the equator and 480 on a pole (a Werner state's ρ̃), and all
-    of them when the landscape is flat (the maximally mixed state). The
-    lattice's summary is the full scan's, bit for bit, and is still refined.
+    (`_axial_values`), leaving the rest NaN. Of the default 4096 points that
+    is 32 for a generic n_s, 256 on the equator and 480 on a pole (a Werner
+    state's ρ̃), and all of them when the landscape is flat (the maximally
+    mixed state). The lattice's summary is the full scan's, bit for bit, and
+    is still refined.
     """
     measure.real_strength(x)
     if not (math.isfinite(x) and x > 0):
