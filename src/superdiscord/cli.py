@@ -24,6 +24,9 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_GAP = 4
 
+# the most rows a sweep may ask for, checked before np.linspace allocates them
+MAX_SWEEP_STEPS = 10**6
+
 SWEEP_COLUMNS = [
     "param",
     "S_AB",
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--z", type=float, default=None, help="singlet weight for --state werner (0.5)")
     common.add_argument("--seed", type=int, default=None, help="seed for --state random (0)")
     common.add_argument("--x", default=None, help="measurement strength, a float or 'inf' (0.5)")
-    common.add_argument("--grid", type=int, default=64, help="lattice points per angle, >= 3")
+    common.add_argument("--grid", type=int, default=64, help="lattice points per angle, 3 to 1024")
     common.add_argument("--out", default=None, help="write output to PATH instead of stdout")
 
     parser = argparse.ArgumentParser(prog="superdiscord")
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--axis", choices=["x", "z", "lambda0"], required=True)
     swp.add_argument("--start", type=float, required=True)
     swp.add_argument("--stop", type=float, required=True)
-    swp.add_argument("--steps", type=int, required=True)
+    swp.add_argument("--steps", type=int, required=True, help="rows, 1 to 10**6")
     return parser
 
 
@@ -242,8 +245,8 @@ def cmd_sweep(args) -> int:
         family = next(f for f, (name, _, _) in FAMILIES.items() if name == args.axis)
         if args.state != family:
             raise QuantumStateError(f"axis '{args.axis}' requires --state {family}")
-    if args.steps < 1:
-        raise DomainError(f"sweep needs --steps >= 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
+        raise DomainError(f"sweep needs 1 <= --steps <= {MAX_SWEEP_STEPS}, got {args.steps}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise DomainError(f"sweep needs finite --start and --stop, got {args.start}, {args.stop}")
     cfg = make_config(args)

@@ -18,9 +18,11 @@ scan (`_axial_values`) evaluates the lattice from both ends of c and stops
 once no point left can be the min, a tie or the max. One kernel,
 `_batched_weak_ce`, gives every reported conditional entropy, bit for bit:
 the lattice, the refinement's objective and `weak_conditional_entropy`
-(strong at x = INFINITY). It takes both
-outcomes P(x), P(-x) in one pass, on a batch axis with their rows never
-stacked, so a refinement point costs one eigvalsh and one entropy pass. It
+(strong at x = INFINITY). It takes a strength in one form, the operator
+coefficients of `measure.weak_coefficients`, made once per scan or
+refinement, and both outcomes P(x), P(-x) in one pass, on a batch axis with
+their rows never stacked, so a refinement point costs one eigvalsh and one
+entropy pass. It
 walks a flat batch in blocks of about BLOCK_BYTES of conditional states, never
 of one row, so a scan's memory is bounded at any dim_a and each point's value
 is the one a single pass would give it, bit for bit. The refinement is an
@@ -31,7 +33,7 @@ and calls again only for an expansion, an outside contraction or a shrink;
 its evaluation count is still scipy's. One driver,
 `_nm_minimize`, runs every refinement: one run per strength whose lattice is
 not flat, all advanced in lockstep, each round's points sent to the kernel
-in one call on a batch axis, each point with its own strength, so each gets
+in one call on a batch axis, each point with its own coefficients, so each gets
 the value it would get alone. `analyze` so refines its strong and weak
 minima with as many calls as the longer refinement makes alone; every
 minimum that succeeds is kept on the state, and the first NoConvergence in
@@ -55,17 +57,22 @@ from .measure import INFINITY, QubitBasis
 from .qstate import DensityMatrix
 
 
+# the most lattice points a config may ask for (--grid 1024), checked before any lattice array is allocated
+MAX_LATTICE_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Size of the (gamma, delta) lattice scanned before refinement.
 
     grid_gamma points span gamma in [0, pi], poles included, so at least 3 are
-    needed for a point off the poles; grid_delta points span delta in [0, 2 pi).
-    The scan estimates the lattice, in closed form at dim_a = 2 and otherwise
-    from the upper hemisphere when an even grid_delta puts every point's
-    antipode on the lattice, and evaluates only the points near the
-    estimate's min or max; at other dim_a an odd grid_delta is scanned in
-    full. The lattice min, max and ties are the full scan's either way.
+    needed for a point off the poles; grid_delta points span delta in [0, 2 pi);
+    the lattice holds at most MAX_LATTICE_POINTS. The scan estimates the
+    lattice, in closed form at dim_a = 2 and otherwise from the upper
+    hemisphere when an even grid_delta puts every point's antipode on the
+    lattice, and evaluates only the points near the estimate's min or max; at
+    other dim_a an odd grid_delta is scanned in full. The lattice min, max and
+    ties are the full scan's either way.
     """
 
     grid_gamma: int = 64
@@ -80,6 +87,10 @@ class OptimizerConfig:
             raise DomainError(
                 f"lattice needs grid_gamma >= 3 and grid_delta >= 1, "
                 f"got {self.grid_gamma} x {self.grid_delta}"
+            )
+        if self.grid_gamma * self.grid_delta > MAX_LATTICE_POINTS:
+            raise DomainError(
+                f"lattice needs at most {MAX_LATTICE_POINTS} points, got {self.grid_gamma} x {self.grid_delta}"
             )
 
 
@@ -104,18 +115,19 @@ def quantum_conditional_entropy(rho: DensityMatrix) -> float:
 
 def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) -> float:
     """p(x) S(ρ_{A|P(x)}) + p(-x) S(ρ_{A|P(-x)}) for the weak pair in `basis`; the strong one at x = INFINITY."""
-    measure.real_strength(x)  # one strength, never the per-point array the kernel also takes
+    coef = measure.weak_coefficients(x)
     gammas, deltas = np.array([basis.gamma]), np.array([basis.delta])
-    return float(_batched_weak_ce(rho.as_tensor(), x, gammas, deltas)[0])
+    return float(_batched_weak_ce(rho.as_tensor(), coef, gammas, deltas)[0])
 
 
-def _batched_weak_ce(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def _batched_weak_ce(rho4: np.ndarray, coef, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Weak conditional entropy for an array of (gamma, delta) bases, of the angles' shape.
 
-    A flat batch is evaluated in blocks of at most B = max(2, BLOCK_BYTES //
-    (32 dim_a²)) points, 32 dim_a² bytes being one point's two complex
-    conditional states, and the blocks' values are concatenated; a per-point
-    strength array is split with the angles. So a call holds about
+    coef is `measure.weak_coefficients(x)`, or, for angles of shape (k, 1), a
+    (4, k, 1) array of one set per point. A flat batch is evaluated in blocks
+    of at most B = max(2, BLOCK_BYTES // (32 dim_a²)) points, 32 dim_a² bytes
+    being one point's two complex conditional states, and the blocks' values
+    are concatenated. So a call holds about
     BLOCK_BYTES of conditional states at any batch size, where the 2048 points
     of a 64×64 hemisphere scan would hold 4 MiB at dim_a = 8 and 64 MiB at
     dim_a = 32. At dim_a = 2, B is 8192 and a lattice is one block; angles of
@@ -129,17 +141,13 @@ def _batched_weak_ce(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray
     """
     size = max(2, BLOCK_BYTES // (32 * rho4.shape[0] ** 2))
     if gammas.ndim != 1 or len(gammas) <= size + 1:
-        return _weak_ce_block(rho4, x, gammas, deltas)
+        return _weak_ce_block(rho4, coef, gammas, deltas)
     n = len(gammas)
     cuts = [*range(0, n - 1, size), n]  # to n - 1: a trailing one-point block joins the one before
-    per_point = np.ndim(x) > 0
-    return np.concatenate([
-        _weak_ce_block(rho4, x[s:e] if per_point else x, gammas[s:e], deltas[s:e])
-        for s, e in zip(cuts, cuts[1:])
-    ])
+    return np.concatenate([_weak_ce_block(rho4, coef, gammas[s:e], deltas[s:e]) for s, e in zip(cuts, cuts[1:])])
 
 
-def _weak_ce_block(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def _weak_ce_block(rho4: np.ndarray, coef, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """`_batched_weak_ce` in one pass over the whole batch: one block.
 
     P(±x) come from `measure.weak_operators`, A's conditional states from
@@ -147,13 +155,13 @@ def _weak_ce_block(rho4: np.ndarray, x, gammas: np.ndarray, deltas: np.ndarray) 
     rows never stacked, so one trace, one eigvalsh and one entropy pass serve
     both. A flat batch of n points is one matmul of n rows; angles of shape
     (k, 1) put k points on a batch axis, so each takes the one-row path that a
-    lone point takes and gets its value bit for bit. x is one strength, or an
-    array of the angles' shape with each point's own, so that points of
+    lone point takes and gets its value bit for bit. coef is one set of
+    `measure.weak_coefficients`, or one set per point, so that points of
     refinements at several strengths share a call. rho4 is ρ as indices
     (a, b, a', b'). The outcomes are added to zeros one after the other: a
     pure conditional state gives -0.0 per outcome, and the sum stays +0.0.
     """
-    m = measure.conditional_blocks(rho4, measure.weak_operators(x, gammas, deltas))
+    m = measure.conditional_blocks(rho4, measure.weak_operators(coef, gammas, deltas))
     p = np.real(np.einsum("...ii->...", m))
     lam = np.linalg.eigvalsh(m)
     # a degenerate row's spectrum, clipped into [0, 1], stays finite and is dropped by the last where
@@ -182,24 +190,32 @@ def _lattice_values(
     taking its antipode's value (n and -n are one measurement with its
     outcomes swapped, and row G-1-k, column j + D/2 mod D is the antipode of
     row k, column j). The points within FLAT_TOL + 1e-8 of its min or 1e-8 of
-    its max, which hold the kernel's min, ties and max, go to the kernel in
-    one batch: never one row, since it holds the estimate's argmin and argmax,
-    or every point when the estimate is flat. Odd grid_delta at dim_a != 2
-    has no antipodes on the lattice and is scanned in full.
+    its max hold the kernel's min, ties and max: at least two, its argmin and
+    argmax, or every point when the estimate is flat. Those on the kernel's
+    own rows keep its values; the rest go to the kernel in one batch, never of
+    one row, so a lone lower point takes the last upper one along. Odd
+    grid_delta at dim_a != 2 has no antipodes on the lattice and is scanned in
+    full.
     """
+    coef = measure.weak_coefficients(x)  # checks x, for the screen too
+    n_top = 0  # the points whose estimate is the kernel's value
     if rho4.shape[0] == 2:
         est = _bloch_screen(rho4, x, gg, dd)
     elif cfg.grid_delta % 2:
-        return _batched_weak_ce(rho4, x, gg, dd)
+        return _batched_weak_ce(rho4, coef, gg, dd)
     else:
         n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
         n_top = (n_gamma + 1) // 2 * n_delta
-        top = _batched_weak_ce(rho4, x, gg[:n_top], dd[:n_top])
+        top = _batched_weak_ce(rho4, coef, gg[:n_top], dd[:n_top])
         row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
         est = np.concatenate([top, top[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]])
     pick = np.flatnonzero((est <= est.min() + FLAT_TOL + 1e-8) | (est >= est.max() - 1e-8))
     vals = np.full(len(gg), np.nan)
-    vals[pick] = _batched_weak_ce(rho4, x, gg[pick], dd[pick])
+    k = np.count_nonzero(pick < n_top)
+    vals[pick[:k]] = est[pick[:k]]
+    if k < len(pick):
+        rest = pick[k - 1 :] if k == len(pick) - 1 else pick[k:]  # a one-row batch takes matmul's vector path
+        vals[rest] = _batched_weak_ce(rho4, coef, gg[rest], dd[rest])
     return vals
 
 
@@ -221,6 +237,7 @@ def _axial_values(
     stays NaN. A flat landscape (n·R = 0, as when B is maximally mixed and
     uncorrelated) never stops the first pass, so every point is evaluated.
     """
+    coef = measure.weak_coefficients(x)
     n_delta = cfg.grid_delta
     gammas, deltas = gg[::n_delta], dd[:n_delta]
     c = np.multiply.outer(np.sin(gammas), axis[0] * np.cos(deltas) + axis[1] * np.sin(deltas))
@@ -234,7 +251,7 @@ def _axial_values(
         return hi - lo if hi - lo <= size + 1 else size
 
     def evaluate(idx):
-        v = _batched_weak_ce(rho4, x, gg[idx], dd[idx])
+        v = _batched_weak_ce(rho4, coef, gg[idx], dd[idx])
         vals[idx] = v
         return v
 
@@ -275,7 +292,6 @@ def _bloch_screen(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) ->
     outcome as the kernel does. Its largest gap to `_batched_weak_ce` was
     1.9e-14, over 153 states, 6 strengths and 4096 points each.
     """
-    measure.weak_amplitudes(x)  # a negative or NaN x raises here, as in the kernel
     rho_a = np.einsum("ibjb->ij", rho4)
     r = np.einsum("ibjc,kcb->kij", rho4, PAULI)
     # M's entries 00 and 11 and the real and imaginary parts of 01, as constants
@@ -453,9 +469,12 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     lattices are scanned one after the other, as `_minimize` scans each. Every
     lattice that is not flat starts a refinement from its best point, and one
     `_nm_minimize` call runs them all. Its objective puts each point on a
-    batch axis with its run's strength, so each point gets the value it would
-    get alone and each refinement takes the steps it takes alone; the kernel
-    calls are as many as the longest refinement's, not the sum over them.
+    batch axis with its run's coefficients, so each point gets the value it
+    would get alone and each refinement takes the steps it takes alone; the
+    kernel calls are as many as the longest refinement's, not the sum over them. A
+    refinement that ends neither in success nor flat runs once more from its
+    best point, all such in one more `_nm_minimize` call, and its NoConvergence
+    is raised only if that run fails too.
     """
     rho4 = rho.as_tensor()
     gammas = np.linspace(0.0, math.pi, cfg.grid_gamma)
@@ -473,21 +492,28 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
         scans.append((vals, vmin, float(np.nanmax(vals)) - vmin, int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])))
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
-    starts = {j: (gg[idx], dd[idx]) for j, (_, _, spread, idx) in enumerate(scans) if spread >= FLAT_TOL}
-    strengths = [xs[j] for j in starts]  # by run
+    live = [j for j, (_, _, spread, _) in enumerate(scans) if spread >= FLAT_TOL]
+    table = np.array([measure.weak_coefficients(xs[j]) for j in live]).T.copy()  # (4, runs), C order
 
-    def objective(pairs):
-        # (k, 1) angles: each point on a batch axis, as if alone; one live run passes its
-        # strength as a scalar, so a lone minimization's calls cost what they cost before
-        if pairs[0][0] == pairs[-1][0]:
-            g, d = np.array([p for _, p in pairs]).T[:, :, None]
-            x = strengths[pairs[0][0]]
-        else:
-            g, d, x = np.array([(*p, strengths[r]) for r, p in pairs]).T[:, :, None]
-        return _batched_weak_ce(rho4, x, g, d)[:, 0].tolist()
+    def refine(starts, coefs):
+        def objective(pairs):
+            # (k, 1) angles: each point on a batch axis, as if alone, with its run's coefficients;
+            # take gives each round's (4, k, 1) slice in C order, as the kernel is fastest with
+            runs, points = zip(*pairs)
+            g, d = np.array(points).T[:, :, None]
+            return _batched_weak_ce(rho4, coefs.take(np.array(runs)[:, None], axis=1), g, d)[:, 0].tolist()
+
+        return _nm_minimize(objective, starts)
 
     # no call when every lattice is flat, so that an `_nm_minimize` call always refines something
-    refined = dict(zip(starts, _nm_minimize(objective, list(starts.values())))) if starts else {}
+    found = refine([(gg[scans[j][3]], dd[scans[j][3]]) for j in live], table) if live else []
+    # a stalled run, such as one whose start at delta = 0 gets a simplex only 0.00025 wide in delta,
+    # restarts once from its best point, with a new simplex and never a worse best value
+    stalled = [r for r, res in enumerate(found) if not (res.success or res.flat)]
+    if stalled:
+        for r, res in zip(stalled, refine([found[r].x for r in stalled], table.take(stalled, axis=1))):
+            found[r] = res
+    refined = dict(zip(live, found))
 
     out = []
     for j, (vals, vmin, spread, idx) in enumerate(scans):

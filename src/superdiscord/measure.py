@@ -96,33 +96,27 @@ def weak_amplitudes(x: float) -> tuple[float, float]:
     return math.sqrt((1.0 - t) / 2.0), math.sqrt((1.0 + t) / 2.0)
 
 
-def _coefficients(x: float) -> tuple[float, float, float, float]:
-    """a(∓x) for P(x), P(-x), then a(±x) − a(∓x) for each: the two coefficient pairs of `weak_operators`."""
+def weak_coefficients(x: float) -> tuple[float, float, float, float]:
+    """a(∓x) for P(x), P(-x), then a(±x) − a(∓x) for each: the one place a strength becomes operator coefficients."""
     ap, am = weak_amplitudes(x)
     return am, ap, ap - am, am - ap
 
 
-def weak_operators(x, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def weak_operators(coef, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """The (2, *gammas.shape, 2, 2) stack of P(x), P(-x) = a(±x) Pi_phi + a(∓x) Pi_phibar, one per (gamma, delta).
 
     Pi_phi = |phi><phi| with |phi> as in `QubitBasis.ket`, and P(±x) is built as
     a(∓x) I + (a(±x) − a(∓x)) Pi_phi, so Pi_phibar = I − Pi_phi; both outcomes come
     from one broadcast over the coefficient pair, on axis 0, so
-    ``plus, minus = weak_operators(...)`` unpacks them. `weak_amplitudes` checks x;
-    x = INFINITY gives the projective limit P(x) = I − Pi_phi, P(-x) = Pi_phi.
-    The angles may have any shape, such as (k, 1) for k points on a batch axis.
-    x is one strength, or an array of the angles' shape that gives each point
-    its own: `weak_amplitudes` then runs once per distinct strength, and each
-    point's coefficients are indexed from that small table, so every operator
-    equals, bit for bit, the one built at its strength alone.
-    The kernel, `weak_pair` and the outcomes all take their operators from here.
+    ``plus, minus = weak_operators(...)`` unpacks them. x = INFINITY gives the
+    projective limit P(x) = I − Pi_phi, P(-x) = Pi_phi. coef is
+    `weak_coefficients(x)`, one set for every point, or a (4, *gammas.shape)
+    array of one set per point; one reshape broadcasts either over the
+    operators. The angles may have any shape, such as (k, 1) for k points on a
+    batch axis. The kernel, `weak_pair` and the outcomes all take their
+    operators from here.
     """
-    if isinstance(x, np.ndarray):
-        strengths = sorted(set(x.ravel().tolist()))
-        table = np.array([_coefficients(v) for v in strengths]).T  # (4, distinct strengths)
-        coef = table.take(np.searchsorted(strengths, x), axis=1)[..., None, None]  # C order, as the scalar's
-    else:
-        coef = np.array(_coefficients(x)).reshape((4,) + (1,) * (gammas.ndim + 2))
+    coef = np.reshape(coef, np.shape(coef) + (1,) * (gammas.ndim + 3 - np.ndim(coef)))
     half = gammas / 2
     kets = np.empty((*gammas.shape, 2), complex)
     kets[..., 0] = np.cos(half)
@@ -135,8 +129,7 @@ def weak_operators(x, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 def weak_pair(basis: QubitBasis, x: float) -> np.ndarray:
     """P(x), P(-x) for one basis as a (2, 2, 2) stack from `weak_operators`: ``plus, minus = weak_pair(b, x)``."""
-    real_strength(x)  # one strength, never the per-point array `weak_operators` also takes
-    return weak_operators(x, np.array([basis.gamma]), np.array([basis.delta]))[:, 0]
+    return weak_operators(weak_coefficients(x), np.array([basis.gamma]), np.array([basis.delta]))[:, 0]
 
 
 @dataclass(frozen=True)

@@ -42,3 +42,17 @@ def minimize_calls(monkeypatch):
 
     monkeypatch.setattr(discord, "_minimize_jointly", counting)
     return strengths
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Point counts of every entropy-kernel call made while the test is active."""
+    sizes = []
+    inner = discord._batched_weak_ce
+
+    def counting(rho4, coef, gammas, deltas):
+        sizes.append(gammas.size)
+        return inner(rho4, coef, gammas, deltas)
+
+    monkeypatch.setattr(discord, "_batched_weak_ce", counting)
+    return sizes

@@ -301,6 +301,20 @@ class TestErrorPaths:
                       "--start", "0", "--stop", "1", "--steps", "0")
         assert (rc, out) == (2, "")
 
+    def test_sweep_beyond_the_step_bound_rejected(self, capsys):
+        # checked before np.linspace would ask for 8 PB
+        for steps in (str(cli.MAX_SWEEP_STEPS + 1), "1000000000000000"):
+            rc, out = run(capsys, "sweep", "--state", "werner", "--axis", "z",
+                          "--start", "0", "--stop", "1", "--steps", steps, "--x", "0.5")
+            assert (rc, out) == (2, ""), steps
+
+    def test_lattice_beyond_the_point_bound_rejected(self, capsys, minimize_calls):
+        # checked before the lattice's meshgrid would ask for 80 PB per array
+        for grid in ("1025", "100000000"):
+            rc, out = run(capsys, "report", "--state", "random", "--seed", "1", "--grid", grid)
+            assert (rc, out) == (2, ""), grid
+        assert minimize_calls == []
+
     @pytest.mark.parametrize("start", ["-1", "nan"])
     def test_x_sweep_rejects_negative_and_nan_strength(self, capsys, start, minimize_calls):
         rc, out = run(capsys, "sweep", "--state", "random", "--axis", "x",

@@ -98,28 +98,39 @@ class TestMinimizer:
         with pytest.raises(DomainError):
             OptimizerConfig(grid_gamma=grid[0], grid_delta=grid[1])
 
+    @pytest.mark.parametrize("grid", [(1025, 1024), (3, 2**20 + 1), (10**8, 10**8)])
+    def test_config_rejects_lattice_beyond_the_bound(self, grid):
+        with pytest.raises(DomainError, match="at most 1048576 points"):
+            OptimizerConfig(grid_gamma=grid[0], grid_delta=grid[1])
+
+    def test_config_accepts_lattice_at_the_bound(self):
+        assert OptimizerConfig(1024, 1024).grid_gamma * 1024 == discord.MAX_LATTICE_POINTS
+
     @pytest.mark.parametrize("grid", [(16.0, 16), (16.5, 16), (True, 16), (16, 16.0), (16, "16")])
     def test_config_rejects_non_int_sizes(self, grid):
         with pytest.raises(DomainError):
             OptimizerConfig(grid_gamma=grid[0], grid_delta=grid[1])
 
     @pytest.mark.parametrize("x", [-1.0, math.nan])
-    def test_rejects_negative_and_nan_strength(self, x, minimize_calls):
+    def test_rejects_negative_and_nan_strength(self, x, minimize_calls, kernel_calls):
         with pytest.raises(NegativeStrength):
             sd.analyze(sd.random_state(1), x, FAST_CFG)
         assert minimize_calls == []  # rejected before the strong minimization
+        with pytest.raises(NegativeStrength):
+            sd.minimize_conditional_entropy(sd.random_state(1), x, FAST_CFG)
+        assert kernel_calls == []  # the lattice scan rejects it before its first kernel call
 
     @pytest.mark.parametrize(
         "x", ["0.5", None, 1j, [0.5], np.array([0.5]), np.array(0.5), True, np.True_], ids=repr
     )
-    def test_rejects_non_real_strength(self, x, minimize_calls):
+    def test_rejects_non_real_strength(self, x, minimize_calls, kernel_calls):
         rho = sd.random_state(1)
         for call in (sd.analyze, sd.super_discord, sd.minimize_conditional_entropy, sd.verify_resurrection):
             with pytest.raises(DomainError, match="strength must be a real number"):
                 call(rho, x, FAST_CFG)
         with pytest.raises(DomainError, match="strength must be a real number"):
             sd.weak_conditional_entropy(rho, COMPUTATIONAL, x)
-        assert minimize_calls == []  # rejected before any minimization
+        assert minimize_calls == [] and kernel_calls == []  # rejected before any minimization
         assert rho._minima == {}
 
     @pytest.mark.parametrize(
@@ -134,11 +145,11 @@ class TestMinimizer:
         ],
     )
     @pytest.mark.parametrize("x", [10**400, -(10**400)], ids=["1e400", "-1e400"])
-    def test_rejects_int_strength_beyond_float_range(self, call, x, minimize_calls):
+    def test_rejects_int_strength_beyond_float_range(self, call, x, minimize_calls, kernel_calls):
         rho = sd.random_state(1)
         with pytest.raises(DomainError, match="beyond float range"):
             call(rho, x)
-        assert minimize_calls == []  # rejected before any minimization
+        assert minimize_calls == [] and kernel_calls == []  # rejected before any minimization
         assert rho._minima == {}
 
     @pytest.mark.parametrize("x", [np.float32(0.5), np.float64(0.5), np.int64(2), 2], ids=repr)
@@ -150,11 +161,32 @@ class TestMinimizer:
         gg, dd = np.meshgrid(
             np.linspace(0, math.pi, 64), np.linspace(0, 2 * math.pi, 64, endpoint=False), indexing="ij"
         )
-        lattice_min = discord._batched_weak_ce(rho.as_tensor(), 0.5, gg.ravel(), dd.ravel()).min()
+        coef = measure.weak_coefficients(0.5)
+        lattice_min = discord._batched_weak_ce(rho.as_tensor(), coef, gg.ravel(), dd.ravel()).min()
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 3)
         with pytest.raises(NoConvergence) as exc:
             discord._minimize(rho, 0.5, DEFAULT_CONFIG)
         assert exc.value.best_value <= lattice_min
+
+    def test_stalled_refinement_restarts_from_its_best_point(self, monkeypatch):
+        # the 27th rank-4 Ginibre state of this seed: at 16 x 16 its strong refinement starts at
+        # (1.0472, 0), where the simplex is 0.00025 wide in delta, and stalls at 0.749089212211
+        rng = np.random.default_rng([1, 2])
+        for _ in range(27):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = sd.validate(g @ g.conj().T / np.trace(g @ g.conj().T).real, dim_a=2)
+        inner, runs = discord._nm_minimize, []
+
+        def recording(fun, starts):
+            found = inner(fun, starts)
+            runs.append([res.success or res.flat for res in found])
+            return found
+
+        monkeypatch.setattr(discord, "_nm_minimize", recording)
+        got = discord._minimize(rho, INFINITY, OptimizerConfig(16, 16)).value
+        assert runs == [[False], [True]]
+        assert got == pytest.approx(discord._minimize(rho, INFINITY, DEFAULT_CONFIG).value, abs=1e-9)
+        assert runs[2:] == [[True]]  # the 64 x 64 refinement needs no restart
 
     @pytest.mark.parametrize("x", [0.5, INFINITY])
     def test_minimum_on_a_pole_converges(self, x):
@@ -188,7 +220,7 @@ class TestMinimizer:
 
 
 def full_lattice(rho4, x, gg, dd, cfg):
-    return discord._batched_weak_ce(rho4, x, gg, dd)
+    return discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
 
 
 def lattice(n_gamma, n_delta):
@@ -234,7 +266,8 @@ class TestHemisphereScan:
         for n_gamma, n_delta in grids:
             gg, dd = lattice(n_gamma, n_delta)
             got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta))
-            assert_scan_contract(got, discord._batched_weak_ce(rho4, x, gg, dd), (n_gamma, n_delta))
+            want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
+            assert_scan_contract(got, want, (n_gamma, n_delta))
 
     @pytest.mark.parametrize(
         "rho",
@@ -284,6 +317,19 @@ class TestHemisphereScan:
         discord._lattice_values(sd.werner(0.6).as_tensor(), 0.5, *lattice(64, 64), DEFAULT_CONFIG)
         assert sum(kernel_batches) == 4096
 
+    def test_flat_lattice_scans_each_point_once(self, kernel_batches):
+        # every point is picked; those of the upper hemisphere keep the values the estimate took from the kernel
+        rho4 = sd.validate(np.eye(6) / 6, dim_a=3).as_tensor()
+        discord._lattice_values(rho4, 0.5, *lattice(64, 64), DEFAULT_CONFIG)
+        assert kernel_batches == [2048, 2048]
+
+    def test_lone_lower_pick_is_never_one_row(self, kernel_batches):
+        # one lower point is picked on this lattice, so one upper pick goes to the kernel with it
+        rho4, (gg, dd) = sd.random_state(3, dim_a=3, rank=6).as_tensor(), lattice(5, 6)
+        got = discord._lattice_values(rho4, 0.5, gg, dd, OptimizerConfig(5, 6))
+        assert kernel_batches == [18, 2]
+        assert_scan_contract(got, discord._batched_weak_ce(rho4, measure.weak_coefficients(0.5), gg, dd), "5x6")
+
 
 def decohering_bases(seed):
     """A random basis, both poles and an equator point."""
@@ -307,7 +353,8 @@ class TestAxialScan:
             for n_gamma, n_delta in AXIAL_GRIDS:
                 gg, dd = lattice(n_gamma, n_delta)
                 got = discord._axial_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(basis))
-                assert_scan_contract(got, discord._batched_weak_ce(rho4, x, gg, dd), (basis, n_gamma, n_delta))
+                want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
+                assert_scan_contract(got, want, (basis, n_gamma, n_delta))
 
     @pytest.mark.parametrize("z", [0.0, 0.6])
     @pytest.mark.parametrize("x", [0.1, 0.5, 2.0])
@@ -317,7 +364,8 @@ class TestAxialScan:
         for n_gamma, n_delta in AXIAL_GRIDS:
             gg, dd = lattice(n_gamma, n_delta)
             got = discord._axial_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(COMPUTATIONAL))
-            assert_scan_contract(got, discord._batched_weak_ce(rho4, x, gg, dd), (n_gamma, n_delta))
+            want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
+            assert_scan_contract(got, want, (n_gamma, n_delta))
 
     @staticmethod
     def measured_state_points(rho, monkeypatch):
@@ -380,14 +428,16 @@ class TestBlochScreen:
         for n_gamma, n_delta in AXIAL_GRIDS:
             gg, dd = lattice(n_gamma, n_delta)
             got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta))
-            assert_scan_contract(got, discord._batched_weak_ce(rho4, x, gg, dd), (n_gamma, n_delta))
+            want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
+            assert_scan_contract(got, want, (n_gamma, n_delta))
 
     @pytest.mark.parametrize("rho", SCREEN_STATES)
     def test_screen_is_the_kernel_within_rounding(self, rho):
         # the screen's 1e-8 margins must cover this gap many times over
         rho4, (gg, dd) = rho.as_tensor(), lattice(64, 64)
         for x in SCREEN_STRENGTHS:
-            gap = np.abs(discord._bloch_screen(rho4, x, gg, dd) - discord._batched_weak_ce(rho4, x, gg, dd))
+            want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
+            gap = np.abs(discord._bloch_screen(rho4, x, gg, dd) - want)
             assert gap.max() <= 1e-12, x
 
     @pytest.mark.parametrize("seed", range(4))
@@ -777,8 +827,8 @@ def weak_ce_objective(seed, x):
 
 
 def weak_ce_objective_of(rho, x):
-    rho4 = rho.as_tensor()
-    return lambda p: float(discord._batched_weak_ce(rho4, x, np.array([p[0]]), np.array([p[1]]))[0])
+    rho4, coef = rho.as_tensor(), measure.weak_coefficients(x)
+    return lambda p: float(discord._batched_weak_ce(rho4, coef, np.array([p[0]]), np.array([p[1]]))[0])
 
 
 def pointwise(fun):
@@ -927,7 +977,7 @@ class TestKernelPort:
         points += [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(8)]
         batches += [(np.array([g]), np.array([d])) for g, d in points]
         for gammas, deltas in batches:
-            got = discord._batched_weak_ce(rho4, x, gammas, deltas)
+            got = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gammas, deltas)
             ref = einsum_weak_ce(rho4, x, gammas, deltas)
             if KERNEL_EXACT:
                 assert np.array_equal(got, ref), (gammas, deltas)
@@ -937,19 +987,19 @@ class TestKernelPort:
     @pytest.mark.parametrize("x", [0.0, 0.1, 2.0, INFINITY])
     @pytest.mark.parametrize("dim_a", range(1, 9))
     def test_weak_scalar_is_the_kernel(self, dim_a, x):
-        rho = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a))
+        rho, coef = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a)), measure.weak_coefficients(x)
         for g, d in kernel_points(dim_a):
-            want = discord._batched_weak_ce(rho.as_tensor(), x, np.array([g]), np.array([d]))[0]
+            want = discord._batched_weak_ce(rho.as_tensor(), coef, np.array([g]), np.array([d]))[0]
             assert sd.weak_conditional_entropy(rho, QubitBasis(g, d), x) == want, (g, d)
 
     @pytest.mark.parametrize("dim_a", range(1, 9))
     def test_strong_scalar_is_weak_at_infinity(self, dim_a):
-        rho = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a))
+        rho, coef = sd.random_state(dim_a, dim_a=dim_a, rank=min(4, 2 * dim_a)), measure.weak_coefficients(INFINITY)
         for g, d in kernel_points(dim_a):
             b = QubitBasis(g, d)
             strong = sd.weak_conditional_entropy(rho, b, INFINITY)
             assert strong == sd.weak_conditional_entropy(rho, b, INFINITY), (g, d)
-            assert strong == discord._batched_weak_ce(rho.as_tensor(), INFINITY, np.array([g]), np.array([d]))[0]
+            assert strong == discord._batched_weak_ce(rho.as_tensor(), coef, np.array([g]), np.array([d]))[0]
 
     @pytest.mark.parametrize("dim_a", range(1, 9))
     def test_outcomes_match_einsum(self, dim_a):
@@ -975,16 +1025,15 @@ class TestKernelBlocks:
     def block_size(dim_a):
         return max(2, discord.BLOCK_BYTES // (32 * dim_a * dim_a))
 
-    @pytest.mark.parametrize("x", [0.0, 0.5, INFINITY, "per-point"])
+    @pytest.mark.parametrize("x", [0.0, 0.5, INFINITY])
     @pytest.mark.parametrize("dim_a", [1, 3, 5, 7, 8])
     def test_blocks_equal_one_pass(self, dim_a, x):
         rho4 = sd.random_state(dim_a, dim_a=dim_a, rank=2 * dim_a).as_tensor()
-        rng = np.random.default_rng(dim_a)
+        rng, coef = np.random.default_rng(dim_a), measure.weak_coefficients(x)
         for n in (2 * self.block_size(dim_a) + r for r in (0, 1, 2)):  # n = 0, 1 and 2 (mod B)
             gammas, deltas = rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n)
-            xs = rng.choice([0.0, 0.5, INFINITY], n) if x == "per-point" else x
-            want = discord._weak_ce_block(rho4, xs, gammas, deltas)
-            assert np.array_equal(discord._batched_weak_ce(rho4, xs, gammas, deltas), want), n
+            want = discord._weak_ce_block(rho4, coef, gammas, deltas)
+            assert np.array_equal(discord._batched_weak_ce(rho4, coef, gammas, deltas), want), n
 
     @pytest.mark.parametrize("dim_a", [3, 8])
     def test_blocks_are_bounded_and_never_one_row(self, dim_a, monkeypatch):
@@ -1000,7 +1049,7 @@ class TestKernelBlocks:
         for n, blocks in ((size + 1, 1), (2 * size, 2), (2 * size + 1, 2), (2 * size + 2, 3)):
             sizes.clear()
             gg, dd = lattice(n, 1)
-            discord._batched_weak_ce(rho4, 0.5, gg, dd)
+            discord._batched_weak_ce(rho4, measure.weak_coefficients(0.5), gg, dd)
             assert len(sizes) == blocks and sum(sizes) == n, (n, sizes)
             assert min(sizes) >= 2 and max(sizes) <= size + 1, (n, sizes)
 
@@ -1010,7 +1059,7 @@ class TestKernelBlocks:
         assert 32 * 16**2 * len(gg) >= 8 * discord.BLOCK_BYTES  # what one pass would hold: 32 MiB
         tracemalloc.start()
         try:
-            discord._batched_weak_ce(rho4, 0.5, gg, dd)
+            discord._batched_weak_ce(rho4, measure.weak_coefficients(0.5), gg, dd)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1025,11 +1074,12 @@ class TestKernelInvariants:
     def test_refinement_points_equal_the_scalar(self, dim_a, x, monkeypatch):
         rho = sd.random_state(dim_a, dim_a=dim_a, rank=4)
         inner, points = discord._batched_weak_ce, []
+        strength_of = {measure.weak_coefficients(s): s for s in (INFINITY, x)}
 
-        def recording(rho4, x, gammas, deltas):
-            vals = inner(rho4, x, gammas, deltas)
+        def recording(rho4, coef, gammas, deltas):
+            vals = inner(rho4, coef, gammas, deltas)
             if gammas.ndim == 2:  # the refinement's points, on a batch axis; unused contractions too
-                strengths = np.broadcast_to(x, gammas.shape)[:, 0].tolist()  # each point's own
+                strengths = [strength_of[tuple(c)] for c in coef[:, :, 0].T.tolist()]  # each point's own
                 points.extend(zip(gammas[:, 0].tolist(), deltas[:, 0].tolist(), strengths, vals[:, 0]))
             return vals
 
@@ -1046,11 +1096,12 @@ class TestKernelInvariants:
         rho = sd.validate(np.diag([1.0, 0.0, 0.0, 0.0]), dim_a=2)
         gammas = np.array([0.0, 1.0, math.pi / 2, math.pi])
         deltas = np.array([0.0, 0.3, 2.0, 5.0])
+        coef = measure.weak_coefficients(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals = [*discord._batched_weak_ce(rho.as_tensor(), x, gammas, deltas)]
+            vals = [*discord._batched_weak_ce(rho.as_tensor(), coef, gammas, deltas)]
             for g, d in zip(gammas, deltas):
-                vals.append(discord._batched_weak_ce(rho.as_tensor(), x, np.array([g]), np.array([d]))[0])
+                vals.append(discord._batched_weak_ce(rho.as_tensor(), coef, np.array([g]), np.array([d]))[0])
                 vals.append(sd.weak_conditional_entropy(rho, QubitBasis(g, d), x))
         assert [math.copysign(1.0, v) for v in vals] == [1.0] * len(vals)
         assert vals == [0.0] * len(vals)

@@ -74,24 +74,38 @@ class TestWeakPair:
         assert np.allclose(pair[0], np.diag([a_plus, a_minus]), atol=1e-15)
         assert np.allclose(pair[1], np.diag([a_minus, a_plus]), atol=1e-15)
 
-    def test_negative_strength_rejected(self):
+    def test_negative_strength_rejected(self, kernel_calls):
         for x in (-1.0, math.nan):
             with pytest.raises(NegativeStrength):
                 sd.weak_pair(COMPUTATIONAL, x)
+        assert kernel_calls == []
 
-    def test_nan_strength_rejected_by_weak_conditional_entropy(self):
+    def test_nan_strength_rejected_by_weak_conditional_entropy(self, kernel_calls):
         with pytest.raises(NegativeStrength):
             sd.weak_conditional_entropy(sd.werner(0.6), COMPUTATIONAL, math.nan)
+        assert kernel_calls == []  # rejected before the kernel builds any operator
 
     @pytest.mark.parametrize("x", [0.0, 0.3, 2.0, INFINITY])
     def test_pair_is_a_row_of_the_kernel_batch(self, x, rng):
         # weak_pair is one row of the batch the minimizer's kernel contracts
         gammas = np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 6)])
         deltas = np.concatenate([[0.0, 1.0], rng.uniform(0, 2 * math.pi, 6)])
-        plus, minus = measure.weak_operators(x, gammas, deltas)
+        plus, minus = measure.weak_operators(measure.weak_coefficients(x), gammas, deltas)
         for i, (g, d) in enumerate(zip(gammas, deltas)):
             pair = sd.weak_pair(QubitBasis(g, d), x)
             assert (pair[0] == plus[i]).all() and (pair[1] == minus[i]).all()
+
+    def test_per_point_coefficients_equal_each_point_alone(self, rng):
+        # a (4, k, 1) coefficient table, one set per point, as a refinement round sends the kernel
+        xs = [0.0, 0.3, INFINITY, 2.0, 0.3, 0.0]
+        gammas = np.concatenate([[[0.0], [math.pi]], rng.uniform(0, math.pi, (4, 1))])
+        deltas = np.concatenate([[[0.0], [1.0]], rng.uniform(0, 2 * math.pi, (4, 1))])
+        coef = np.array([measure.weak_coefficients(x) for x in xs]).T[:, :, None].copy()
+        ops = measure.weak_operators(coef, gammas, deltas)
+        assert ops.shape == (2, len(xs), 1, 2, 2)
+        for k, x in enumerate(xs):
+            alone = measure.weak_operators(measure.weak_coefficients(x), gammas[k], deltas[k])
+            assert np.array_equal(ops[:, k], alone), x
 
     @pytest.mark.parametrize("seed", range(10))
     def test_completeness_and_commutation(self, seed):
@@ -123,7 +137,7 @@ class TestConditionalBlocks:
         points = [(0.0, 0.0), (math.pi, 1.0)]
         points += [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(6)]
         for g, d in points:
-            ops = measure.weak_operators(x, np.array([g]), np.array([d]))
+            ops = measure.weak_operators(measure.weak_coefficients(x), np.array([g]), np.array([d]))
             assert ops.shape == (2, 1, 2, 2)
             blocks = measure.conditional_blocks(rho4, ops)
             assert blocks.shape == (2, 1, dim_a, dim_a)
