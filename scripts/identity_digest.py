@@ -57,7 +57,7 @@ def commands(state_path: str) -> list[list[str]]:
     ]
     cmds = [[cmd, *state, "--x", x] for state in states for cmd in ("report", "resurrect") for x in CLI_STRENGTHS]
     cmds.append(["report", "--state", "random", "--seed", "1", "--x", "0.5", "--format", "csv"])
-    # an odd lattice width is scanned in full; an even one by hemisphere, here with pole ties
+    # an odd lattice width is estimated at every point; an even one on one hemisphere, here with pole ties
     cmds.append(["report", "--state", "random", "--seed", "3", "--x", "0.5", "--grid", "7"])
     cmds.append(["resurrect", "--state", "werner", "--z", "0.6", "--x", "0.5", "--grid", "6"])
     cmds.append(["resurrect", "--state", "pure", "--lambda0", "0.2", "--x", "2", "--grid", "6"])
@@ -94,7 +94,7 @@ def states(families, qstate) -> list[tuple[str, object]]:
         ("werner z=0.6", families.werner(0.6)),
         ("werner z=0", families.werner(0.0)),
         ("pure lambda0=0.2", families.pure_schmidt(0.2)),
-        # the dim_a = 2 lattice screen where its ties and its entropy near zero are tightest:
+        # the lattice estimate's dim_a = 2 closed form where its ties and its entropy near zero are tightest:
         # a minimum tied on a pole, and conditional states with zero eigenvalues
         ("classical diag(0.2, 0, 0, 0.8)", qstate.validate(np.diag([0.2, 0.0, 0.0, 0.8]), 2)),
         ("ginibre seed=40 dim_a=2 rank=1", qstate.validate(ginibre(40, 2, rank=1), 2)),
@@ -102,6 +102,10 @@ def states(families, qstate) -> list[tuple[str, object]]:
     for dim_a in (2, 3, 4, 5, 8):  # 8 is the dimension of the benchmark's qudit sweep
         seed = 20 + dim_a
         out.append((f"ginibre seed={seed} dim_a={dim_a}", qstate.validate(ginibre(seed, dim_a), dim_a)))
+    # R_k = Tr_B[(I⊗σ_k)ρ] = 0, so the lattice estimate evaluates one point and every point goes to the kernel
+    out.append(("maximally mixed dim_a=3", qstate.validate(np.eye(6) / 6, 3)))
+    rho_a = np.einsum("ibjb->ij", ginibre(33, 3).reshape(3, 2, 3, 2))  # A's marginal of a Ginibre state
+    out.append(("ginibre marginal seed=33 dim_a=3 x I/2", qstate.validate(np.kron(rho_a, np.eye(2) / 2), 3)))
     return out
 
 

@@ -8,40 +8,39 @@ the minimization reads off it, and leaves every other point NaN: not
 evaluated. The scan contract: its nanmin, nanmax and nanargmin and its first
 point within FLAT_TOL of the min equal the full scan's min, max, argmin and
 first tie bit for bit, and every value it holds is the full scan's with ==.
-Two scans keep it. An unmeasured state's (`_lattice_values`) takes an
-estimate within 1e-8 of the kernel at every point, the closed-form 2×2
-eigenvalues at dim_a = 2 or one hemisphere at other dim_a (n and -n are one
-measurement with its outcomes swapped), and evaluates the points near its min
-or max. The resurrection check's measured state ρ̃, decohered along n_s, has
-a landscape that depends on c = |m·n_s| alone and never rises with c, so its
-scan (`_axial_values`) evaluates the lattice from both ends of c and stops
-once no point left can be the min, a tie or the max. One kernel,
+Two scans keep it. An unmeasured state's (`_lattice_values`) takes one
+estimate within 1e-8 of the kernel at every dim_a and lattice, from A's
+Bloch form (`_bloch_screen`), and sends the kernel the points near its min
+or max in one batch. The resurrection check's measured state ρ̃, decohered
+along n_s, has a landscape that depends on c = |m·n_s| alone and never rises
+with c, so its scan (`_axial_values`) evaluates the lattice from both ends of
+c and stops once no point left can be the min, a tie or the max. One kernel,
 `_batched_weak_ce`, gives every reported conditional entropy, bit for bit:
 the lattice, the refinement's objective and `weak_conditional_entropy`
 (strong at x = INFINITY). It takes a strength in one form, the operator
 coefficients of `measure.weak_coefficients`, made once per scan or
 refinement, and both outcomes P(x), P(-x) in one pass, on a batch axis with
 their rows never stacked, so a refinement point costs one eigvalsh and one
-entropy pass. It
-walks a flat batch in blocks of about BLOCK_BYTES of conditional states, never
-of one row, so a scan's memory is bounded at any dim_a and each point's value
-is the one a single pass would give it, bit for bit. The refinement is an
-in-package port of scipy's default Nelder-Mead that keeps its iterates bit
-for bit, so numpy is the only runtime dependency. Each of its iterations
-evaluates the reflected point and the inside contraction in one kernel call,
-and calls again only for an expansion, an outside contraction or a shrink;
-its evaluation count is still scipy's. One driver,
-`_nm_minimize`, runs every refinement: one run per strength whose lattice is
-not flat, all advanced in lockstep, each round's points sent to the kernel
-in one call on a batch axis, each point with its own coefficients, so each gets
-the value it would get alone. `analyze` so refines its strong and weak
-minima with as many calls as the longer refinement makes alone; every
-minimum that succeeds is kept on the state, and the first NoConvergence in
-strength order, the strong one first, is raised. The refinement's constants
-are fixed, not options: angle tolerance 1e-8, value tolerance FLAT_TOL and at
-most MAX_REFINE_ITERS iterations, the settings every reported number has been
-computed with. It has no evaluation budget, because the iteration cap already
-bounds the evaluations (see `_nm_steps`).
+entropy pass. It and the estimate walk a flat batch in blocks of about
+BLOCK_BYTES of conditional states, never of one row, so a scan's memory is
+bounded at any dim_a and each point's value is the one a single pass would
+give it, bit for bit. The refinement is an in-package port of scipy's
+default Nelder-Mead that keeps its iterates bit for bit, so numpy is the
+only runtime dependency. Each of its iterations evaluates the reflected
+point and the inside contraction in one kernel call, and calls again only
+for an expansion, an outside contraction or a shrink; its evaluation count
+is still scipy's. One driver, `_nm_minimize`, runs every refinement: one run
+per strength whose lattice is not flat, all advanced in lockstep, each
+round's points sent to the kernel in one call on a batch axis, each point
+with its own coefficients, so each gets the value it would get alone.
+`analyze` so refines its strong and weak minima with as many calls as the
+longer refinement makes alone; every minimum that succeeds is kept on the
+state, and the first NoConvergence in strength order, the strong one first,
+is raised. The refinement's constants are fixed, not options: angle
+tolerance 1e-8, value tolerance FLAT_TOL and at most MAX_REFINE_ITERS
+iterations, the settings every reported number has been computed with. It
+has no evaluation budget, because the iteration cap bounds the evaluations
+(see `_nm_steps`).
 """
 
 from __future__ import annotations
@@ -67,12 +66,11 @@ class OptimizerConfig:
 
     grid_gamma points span gamma in [0, pi], poles included, so at least 3 are
     needed for a point off the poles; grid_delta points span delta in [0, 2 pi);
-    the lattice holds at most MAX_LATTICE_POINTS. The scan estimates the
-    lattice, in closed form at dim_a = 2 and otherwise from the upper
-    hemisphere when an even grid_delta puts every point's antipode on the
-    lattice, and evaluates only the points near the estimate's min or max; at
-    other dim_a an odd grid_delta is scanned in full. The lattice min, max and
-    ties are the full scan's either way.
+    the lattice holds at most MAX_LATTICE_POINTS. The scan estimates every
+    point from A's Bloch form, once per antipodal pair when an even
+    grid_delta puts every point's antipode on the lattice, and evaluates only
+    the points near the estimate's min or max, at any dim_a and grid_delta.
+    The lattice min, max and ties are the full scan's.
     """
 
     grid_gamma: int = 64
@@ -124,27 +122,34 @@ def _batched_weak_ce(rho4: np.ndarray, coef, gammas: np.ndarray, deltas: np.ndar
     """Weak conditional entropy for an array of (gamma, delta) bases, of the angles' shape.
 
     coef is `measure.weak_coefficients(x)`, or, for angles of shape (k, 1), a
-    (4, k, 1) array of one set per point. A flat batch is evaluated in blocks
-    of at most B = max(2, BLOCK_BYTES // (32 dim_a²)) points, 32 dim_a² bytes
-    being one point's two complex conditional states, and the blocks' values
-    are concatenated. So a call holds about
-    BLOCK_BYTES of conditional states at any batch size, where the 2048 points
-    of a 64×64 hemisphere scan would hold 4 MiB at dim_a = 8 and 64 MiB at
-    dim_a = 32. At dim_a = 2, B is 8192 and a lattice is one block; angles of
-    shape (k, 1), the refinement's, are always one. A trailing one-point block
-    joins the block before it, because matmul takes another path for one row,
-    off by an ulp at odd dim_a. With two rows or more, no row's value depends
-    on the batch, so each point gets, bit for bit, the value one pass over
-    the whole batch (`_weak_ce_block`) gives it. The blocks are a loop, never
-    calls through the module attribute, so a call is one kernel call however
-    many blocks it takes.
+    (4, k, 1) array of one set per point. A flat batch is evaluated in the
+    blocks of `_blockwise`, so a call holds about BLOCK_BYTES of conditional
+    states at any batch size, where the 4096 points of a flat 64×64 lattice
+    would hold 8 MiB at dim_a = 8. Angles of shape (k, 1), the refinement's,
+    are one block. Each point gets, bit for bit, the value one pass over the
+    whole batch (`_weak_ce_block`) gives it. The blocks are a loop, never
+    calls through the module attribute, so a call is one kernel call.
     """
-    size = max(2, BLOCK_BYTES // (32 * rho4.shape[0] ** 2))
-    if gammas.ndim != 1 or len(gammas) <= size + 1:
+    if gammas.ndim != 1:
         return _weak_ce_block(rho4, coef, gammas, deltas)
-    n = len(gammas)
+    return _blockwise(rho4.shape[0], len(gammas), lambda s, e: _weak_ce_block(rho4, coef, gammas[s:e], deltas[s:e]))
+
+
+def _blockwise(dim_a: int, n: int, block) -> np.ndarray:
+    """The values of n points, block(s, e) giving those of points s:e, walked in blocks and concatenated.
+
+    A block holds at most B = max(2, BLOCK_BYTES // (32 dim_a²)) points, 32 dim_a²
+    bytes being one point's two complex conditional states: 8192 at dim_a = 2,
+    so a lattice is one block, and 512 at dim_a = 8. A trailing one-point block
+    joins the one before it: matmul takes another path for one row, off by an
+    ulp at odd dim_a, and with two rows or more no row's value depends on the
+    batch. The kernel and the lattice estimate (`_bloch_screen`) share it.
+    """
+    size = max(2, BLOCK_BYTES // (32 * dim_a**2))
+    if n <= size + 1:
+        return block(0, n)
     cuts = [*range(0, n - 1, size), n]  # to n - 1: a trailing one-point block joins the one before
-    return np.concatenate([_weak_ce_block(rho4, coef, gammas[s:e], deltas[s:e]) for s, e in zip(cuts, cuts[1:])])
+    return np.concatenate([block(s, e) for s, e in zip(cuts, cuts[1:])])
 
 
 def _weak_ce_block(rho4: np.ndarray, coef, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -152,18 +157,24 @@ def _weak_ce_block(rho4: np.ndarray, coef, gammas: np.ndarray, deltas: np.ndarra
 
     P(±x) come from `measure.weak_operators`, A's conditional states from
     `measure.conditional_blocks`, with the two outcomes on a batch axis and
-    rows never stacked, so one trace, one eigvalsh and one entropy pass serve
-    both. A flat batch of n points is one matmul of n rows; angles of shape
-    (k, 1) put k points on a batch axis, so each takes the one-row path that a
-    lone point takes and gets its value bit for bit. coef is one set of
-    `measure.weak_coefficients`, or one set per point, so that points of
-    refinements at several strengths share a call. rho4 is ρ as indices
-    (a, b, a', b'). The outcomes are added to zeros one after the other: a
-    pure conditional state gives -0.0 per outcome, and the sum stays +0.0.
+    rows never stacked, so one trace, one eigvalsh and one `_entropy_sum`
+    serve both. A flat batch of n points is one matmul of n rows; angles of
+    shape (k, 1) put k points on a batch axis, so each takes the one-row path
+    that a lone point takes and gets its value bit for bit. coef is one set
+    of coefficients, or one per point, so that points of refinements at
+    several strengths share a call. rho4 is ρ as indices (a, b, a', b').
     """
     m = measure.conditional_blocks(rho4, measure.weak_operators(coef, gammas, deltas))
-    p = np.real(np.einsum("...ii->...", m))
-    lam = np.linalg.eigvalsh(m)
+    return _entropy_sum(np.real(np.einsum("...ii->...", m)), np.linalg.eigvalsh(m))
+
+
+def _entropy_sum(p: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Σ p S(lam/p) over the outcomes on axis 0, from the traces p and the spectra lam (overwritten) of M(±x).
+
+    A spectrum is normalized and clipped into [0, 1], an outcome of probability
+    at most DEGENERATE_PROB adds 0, and the outcomes are added to zeros one
+    after the other, so a pure conditional state's -0.0 per outcome sums to +0.0.
+    """
     # a degenerate row's spectrum, clipped into [0, 1], stays finite and is dropped by the last where
     lam /= np.maximum(p, 1e-300)[..., None]
     # np.clip without its wrapper's cost; it differs only in turning -0.0 into +0.0,
@@ -173,49 +184,75 @@ def _weak_ce_block(rho4: np.ndarray, coef, gammas: np.ndarray, deltas: np.ndarra
     np.log2(terms, out=terms)
     terms *= lam
     c = np.where(p > measure.DEGENERATE_PROB, -p * terms.sum(axis=-1), 0.0)
-    vals = np.zeros(gammas.shape)
+    vals = np.zeros(p.shape[1:])
     vals += c[0]
     vals += c[1]
     return vals
 
 
-def _lattice_values(
-    rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig
-) -> np.ndarray:
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch_screen(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) -> np.ndarray:
+    """The weak conditional entropy of a flat batch of bases from A's Bloch form: the kernel's values within rounding.
+
+    Along n = (sin γ cos δ, sin γ sin δ, cos γ), A's unnormalized conditional
+    states are M(±x) = (ρ_A ∓ t n·R)/2, with R_k = Tr_B[(I⊗σ_k)ρ] and
+    t = tanh x, 1 at x = INFINITY (cf. Luo, PRA 77, 042303 (2008); Girolami &
+    Adesso, PRA 83, 052108 (2011)). A table of ρ_A/2 and t R_k/2, (4, dim_a²),
+    is built once; in each block of `_blockwise` the rows (1, ±n) times it,
+    one matmul, give both outcomes' M, whose order the sum cannot show. Their
+    spectra are closed form at dim_a = 2, p/2 ± |((M_00 − M_11)/2, M_01)| with
+    p = Tr M, and eigvalsh otherwise; `_entropy_sum` makes the values. When
+    t R is exactly zero (x = 0, or R = 0), every point has one M, and one
+    point is evaluated for all. The largest gap to `_batched_weak_ce` was
+    1.9e-14, on 64×64 lattices of Ginibre states at dim_a 1 to 12, ranks 1, 2
+    and full, x ∈ {0, 0.1, 0.5, 2, 8, INFINITY}.
+    """
+    dim_a = rho4.shape[0]
+    table = np.empty((4, dim_a, dim_a), complex)
+    table[0] = np.einsum("ibjb->ij", rho4) / 2
+    table[1:] = np.einsum("ibjc,kcb->kij", rho4, PAULI) * (math.tanh(x) / 2)
+    table = table.reshape(4, dim_a * dim_a).view(float)  # real and imaginary parts side by side: a real matmul
+
+    def block(s, e):
+        g, d, sin_g = gg[s:e], dd[s:e], np.sin(gg[s:e])
+        rows = np.ones((2, e - s, 4))
+        rows[0, :, 1:] = np.stack([sin_g * np.cos(d), sin_g * np.sin(d), np.cos(g)], axis=1)
+        rows[1, :, 1:] = -rows[0, :, 1:]
+        m = (rows @ table).view(complex).reshape(2, e - s, dim_a, dim_a)
+        p = np.real(np.einsum("...ii->...", m))
+        if dim_a != 2:
+            return _entropy_sum(p, np.linalg.eigvalsh(m))
+        half_gap = np.sqrt(((m[..., 0, 0].real - m[..., 1, 1].real) / 2) ** 2 + np.abs(m[..., 0, 1]) ** 2)
+        return _entropy_sum(p, np.stack([p / 2 - half_gap, p / 2 + half_gap], axis=-1))
+
+    n = len(gg) if table[1:].any() else 1  # t R = 0: every point has the first one's value
+    return np.broadcast_to(_blockwise(dim_a, n, block), gg.shape)
+
+
+def _lattice_values(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     """`_batched_weak_ce` on the row-major lattice where it can decide the summary, NaN elsewhere.
 
-    An estimate within ε of the kernel at every point, 2ε far below the 1e-8
-    margins, picks the points: `_bloch_screen` at dim_a = 2; otherwise, for
-    even grid_delta, the kernel on the rows k < ceil(G/2), each lower point
-    taking its antipode's value (n and -n are one measurement with its
-    outcomes swapped, and row G-1-k, column j + D/2 mod D is the antipode of
-    row k, column j). The points within FLAT_TOL + 1e-8 of its min or 1e-8 of
-    its max hold the kernel's min, ties and max: at least two, its argmin and
-    argmax, or every point when the estimate is flat. Those on the kernel's
-    own rows keep its values; the rest go to the kernel in one batch, never of
-    one row, so a lone lower point takes the last upper one along. Odd
-    grid_delta at dim_a != 2 has no antipodes on the lattice and is scanned in
-    full.
+    The estimate `_bloch_screen`, within ε of the kernel at every point, 2ε
+    far below the 1e-8 margins, picks the points. For even grid_delta it
+    covers the rows k < ceil(G/2), and each lower point takes its antipode's
+    value (n and -n are one measurement with its outcomes swapped, and row
+    G-1-k, column j + D/2 mod D is the antipode of row k, column j); an odd
+    grid_delta has no antipodes on the lattice. The points within
+    FLAT_TOL + 1e-8 of the estimate's min or 1e-8 of its max hold the
+    kernel's min, ties and max. They go to the kernel in one batch, never of
+    one row: it holds the estimate's argmin and argmax, or every point.
     """
-    coef = measure.weak_coefficients(x)  # checks x, for the screen too
-    n_top = 0  # the points whose estimate is the kernel's value
-    if rho4.shape[0] == 2:
-        est = _bloch_screen(rho4, x, gg, dd)
-    elif cfg.grid_delta % 2:
-        return _batched_weak_ce(rho4, coef, gg, dd)
-    else:
-        n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
-        n_top = (n_gamma + 1) // 2 * n_delta
-        top = _batched_weak_ce(rho4, coef, gg[:n_top], dd[:n_top])
-        row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
-        est = np.concatenate([top, top[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]])
+    coef = measure.weak_coefficients(x)  # checks x before the estimate takes tanh x
+    n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
+    n_top = len(gg) if n_delta % 2 else (n_gamma + 1) // 2 * n_delta
+    top = _bloch_screen(rho4, x, gg[:n_top], dd[:n_top])
+    row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
+    est = np.concatenate([top, top[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]])
     pick = np.flatnonzero((est <= est.min() + FLAT_TOL + 1e-8) | (est >= est.max() - 1e-8))
     vals = np.full(len(gg), np.nan)
-    k = np.count_nonzero(pick < n_top)
-    vals[pick[:k]] = est[pick[:k]]
-    if k < len(pick):
-        rest = pick[k - 1 :] if k == len(pick) - 1 else pick[k:]  # a one-row batch takes matmul's vector path
-        vals[rest] = _batched_weak_ce(rho4, coef, gg[rest], dd[rest])
+    vals[pick] = _batched_weak_ce(rho4, coef, gg[pick], dd[pick])
     return vals
 
 
@@ -273,42 +310,6 @@ def _axial_values(
         if v[-1] < vmax - 1e-8:
             break
         size *= 2
-    return vals
-
-
-PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-def _bloch_screen(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) -> np.ndarray:
-    """The weak conditional entropy at dim_a = 2 in closed form: the kernel's values within rounding.
-
-    B is a qubit, so A's unnormalized conditional states along n are
-    M(±x) = (ρ_A ∓ t n·R)/2, with R_k = Tr_B[(I⊗σ_k)ρ],
-    n = (sin γ cos δ, sin γ sin δ, cos γ) and t = tanh x, 1 at x = INFINITY
-    (cf. Luo, PRA 77, 042303 (2008)). The value sums both outcomes, so which
-    one takes which sign does not matter. A 2×2 M has the eigenvalues
-    p/2 ± |((M_00 − M_11)/2, M_01)| with p = Tr M, so each outcome costs a few
-    (n,) array operations, and the entropy clips and drops a degenerate
-    outcome as the kernel does. Its largest gap to `_batched_weak_ce` was
-    1.9e-14, over 153 states, 6 strengths and 4096 points each.
-    """
-    rho_a = np.einsum("ibjb->ij", rho4)
-    r = np.einsum("ibjc,kcb->kij", rho4, PAULI)
-    # M's entries 00 and 11 and the real and imaginary parts of 01, as constants
-    # (from ρ_A) and as coefficients of n (from R), both halved; n's get t too
-    base = np.array([rho_a[0, 0].real, rho_a[1, 1].real, rho_a[0, 1].real, rho_a[0, 1].imag]) / 2
-    coef = np.stack([r[:, 0, 0].real, r[:, 1, 1].real, r[:, 0, 1].real, r[:, 0, 1].imag], axis=1)
-    sin_g = np.sin(gg)
-    tn = np.stack([sin_g * np.cos(dd), sin_g * np.sin(dd), np.cos(gg)], axis=1) @ coef
-    tn *= math.tanh(x) / 2
-    vals = np.zeros(len(gg))
-    for sign in (1.0, -1.0):
-        a, d, b_re, b_im = (base[k] - sign * tn[:, k] for k in range(4))
-        p = a + d
-        gap = np.sqrt(((a - d) / 2) ** 2 + b_re**2 + b_im**2) / np.maximum(p, 1e-300)
-        for q in (0.5 + gap, 0.5 - gap):  # the normalized eigenvalues
-            np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
-            vals -= np.where(p > measure.DEGENERATE_PROB, p * q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
     return vals
 
 
@@ -465,17 +466,18 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     """`_minimize(rho, x, cfg, axis)` at each strength of xs, with the refinements run in lockstep.
 
     Each entry is, at its strength, the MinimizationResult, or the
-    NoConvergence that `_minimize` raises; a bad strength raises at once. The
-    lattices are scanned one after the other, as `_minimize` scans each. Every
-    lattice that is not flat starts a refinement from its best point, and one
-    `_nm_minimize` call runs them all. Its objective puts each point on a
-    batch axis with its run's coefficients, so each point gets the value it
-    would get alone and each refinement takes the steps it takes alone; the
-    kernel calls are as many as the longest refinement's, not the sum over them. A
-    refinement that ends neither in success nor flat runs once more from its
-    best point, all such in one more `_nm_minimize` call, and its NoConvergence
-    is raised only if that run fails too.
+    NoConvergence that `_minimize` raises; a bad strength raises before any
+    scan. The lattices are scanned one after the other, as `_minimize` scans
+    each. Every lattice that is not flat starts a refinement from its best
+    point, and one `_nm_minimize` call runs them all. Its objective puts each
+    point on a batch axis with its run's coefficients, so each point gets the
+    value it would get alone and each refinement takes the steps it takes
+    alone; the kernel calls are as many as the longest refinement's, not the
+    sum over them. A refinement that ends neither in success nor flat runs
+    once more from its best point, all such in one more `_nm_minimize` call,
+    and its NoConvergence is raised only if that run fails too.
     """
+    coef_of = [measure.weak_coefficients(x) for x in xs]  # a bad strength raises before the first scan
     rho4 = rho.as_tensor()
     gammas = np.linspace(0.0, math.pi, cfg.grid_gamma)
     deltas = np.linspace(0.0, 2 * math.pi, cfg.grid_delta, endpoint=False)
@@ -483,17 +485,14 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     gg, dd = gg.ravel(), dd.ravel()
     scans = []
     for x in xs:
-        if axis is None:
-            vals = _lattice_values(rho4, x, gg, dd, cfg)
-        else:
-            vals = _axial_values(rho4, x, gg, dd, cfg, axis)
+        vals = _lattice_values(rho4, x, gg, dd, cfg) if axis is None else _axial_values(rho4, x, gg, dd, cfg, axis)
         vmin = float(np.nanmin(vals))
         # ties broken toward smallest gamma, then delta (row-major, gamma outer); NaN is no tie
         scans.append((vals, vmin, float(np.nanmax(vals)) - vmin, int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])))
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
     live = [j for j, (_, _, spread, _) in enumerate(scans) if spread >= FLAT_TOL]
-    table = np.array([measure.weak_coefficients(xs[j]) for j in live]).T.copy()  # (4, runs), C order
+    table = np.array([coef_of[j] for j in live]).T.copy()  # (4, runs), C order
 
     def refine(starts, coefs):
         def objective(pairs):

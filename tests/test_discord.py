@@ -118,7 +118,16 @@ class TestMinimizer:
         assert minimize_calls == []  # rejected before the strong minimization
         with pytest.raises(NegativeStrength):
             sd.minimize_conditional_entropy(sd.random_state(1), x, FAST_CFG)
-        assert kernel_calls == []  # the lattice scan rejects it before its first kernel call
+        assert kernel_calls == []  # rejected before the first lattice scan
+
+    def test_bad_strength_raises_before_any_scan(self, kernel_calls):
+        # the good strength comes first, so a scan per strength would run before the bad one is seen
+        rho = sd.random_state(1, dim_a=3, rank=6)
+        with pytest.raises(NegativeStrength):
+            discord._minimize_jointly(rho, [0.5, -1.0], DEFAULT_CONFIG)
+        with pytest.raises(NegativeStrength):
+            discord._minima(rho, [INFINITY, -1.0], DEFAULT_CONFIG)
+        assert kernel_calls == [] and rho._minima == {}
 
     @pytest.mark.parametrize(
         "x", ["0.5", None, 1j, [0.5], np.array([0.5]), np.array(0.5), True, np.True_], ids=repr
@@ -246,6 +255,21 @@ def assert_scan_contract(got, want, context):
     assert np.all((skipped > want.min() + discord.FLAT_TOL) & (skipped < want.max())), context
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Point counts of every block walk (`discord._blockwise`) while the test is active: the estimate's and the
+    kernel's, in call order."""
+    sizes = []
+    inner = discord._blockwise
+
+    def recording(dim_a, n, block):
+        sizes.append(n)
+        return inner(dim_a, n, block)
+
+    monkeypatch.setattr(discord, "_blockwise", recording)
+    return sizes
+
+
 HEMISPHERE_GRIDS = [(64, 64), (16, 16), (7, 4), (5, 6), (3, 2), (4, 1), (5, 3)]
 # A in {0, 2} with B = 0, A = 1 with B = 1: the minimum ties along a whole pole row
 CLASSICAL_3 = np.diag([0.2, 0.0, 0.0, 0.5, 0.3, 0.0])
@@ -286,49 +310,35 @@ class TestHemisphereScan:
         monkeypatch.setattr(discord, "_lattice_values", full_lattice)
         assert got == [discord._minimize(rho, x, cfg) for x, cfg in cases]
 
-    @pytest.fixture
-    def kernel_batches(self, monkeypatch):
-        sizes = []
-        inner = discord._batched_weak_ce
-
-        def counting(rho4, x, gammas, deltas):
-            sizes.append(len(gammas))
-            return inner(rho4, x, gammas, deltas)
-
-        monkeypatch.setattr(discord, "_batched_weak_ce", counting)
-        return sizes
-
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("x", [0.5, INFINITY])
-    def test_even_lattice_scans_one_hemisphere(self, seed, x, kernel_batches):
-        rho4 = sd.random_state(seed, dim_a=3, rank=6).as_tensor()  # dim_a = 2 takes the closed form
+    def test_even_lattice_scans_one_hemisphere(self, seed, x, walks, kernel_calls):
+        # the estimate covers the upper rows, each lower point taking its antipode's value; the kernel gets the picks
+        rho4 = sd.random_state(seed, dim_a=3, rank=6).as_tensor()
         discord._lattice_values(rho4, x, *lattice(64, 64), DEFAULT_CONFIG)
-        assert kernel_batches[0] == 4096 // 2
-        assert sum(kernel_batches) <= 4096 // 2 + 256
-        assert min(kernel_batches) >= 2  # a one-row batch takes matmul's vector path
+        assert walks == [4096 // 2, *kernel_calls]
+        assert len(kernel_calls) == 1 and 2 <= kernel_calls[0] <= 64  # a one-row batch takes matmul's vector path
 
     @pytest.mark.parametrize("grid", [(4, 1), (5, 3), (64, 63)])
-    def test_odd_lattice_width_scans_every_point(self, grid, kernel_batches):
-        rho4 = sd.random_state(1, dim_a=3, rank=6).as_tensor()  # dim_a = 2 takes the closed form
+    def test_odd_lattice_width_scans_every_point(self, grid, walks, kernel_calls):
+        # no point's antipode is on the lattice, so the estimate covers every point
+        rho4 = sd.random_state(1, dim_a=3, rank=6).as_tensor()
         discord._lattice_values(rho4, 0.5, *lattice(*grid), OptimizerConfig(*grid))
-        assert kernel_batches == [grid[0] * grid[1]]
+        assert walks == [grid[0] * grid[1], *kernel_calls]
+        assert len(kernel_calls) == 1 and kernel_calls[0] >= 2
 
-    def test_flat_lattice_scans_every_point(self, kernel_batches):
+    def test_flat_lattice_scans_every_point(self, kernel_calls):
         discord._lattice_values(sd.werner(0.6).as_tensor(), 0.5, *lattice(64, 64), DEFAULT_CONFIG)
-        assert sum(kernel_batches) == 4096
+        assert kernel_calls == [4096]
 
-    def test_flat_lattice_scans_each_point_once(self, kernel_batches):
-        # every point is picked; those of the upper hemisphere keep the values the estimate took from the kernel
-        rho4 = sd.validate(np.eye(6) / 6, dim_a=3).as_tensor()
-        discord._lattice_values(rho4, 0.5, *lattice(64, 64), DEFAULT_CONFIG)
-        assert kernel_batches == [2048, 2048]
-
-    def test_lone_lower_pick_is_never_one_row(self, kernel_batches):
-        # one lower point is picked on this lattice, so one upper pick goes to the kernel with it
-        rho4, (gg, dd) = sd.random_state(3, dim_a=3, rank=6).as_tensor(), lattice(5, 6)
-        got = discord._lattice_values(rho4, 0.5, gg, dd, OptimizerConfig(5, 6))
-        assert kernel_batches == [18, 2]
-        assert_scan_contract(got, discord._batched_weak_ce(rho4, measure.weak_coefficients(0.5), gg, dd), "5x6")
+    def test_flat_lattice_scans_each_point_once(self, walks, kernel_calls):
+        # t R = 0, as R = 0 for the maximally mixed state and t = 0 at x = 0: the estimate is one point,
+        # every point is picked, and the kernel takes each once
+        for rho, x in ((sd.validate(np.eye(6) / 6, dim_a=3), 0.5), (sd.random_state(1, dim_a=3, rank=6), 0.0)):
+            walks.clear()
+            kernel_calls.clear()
+            discord._lattice_values(rho.as_tensor(), x, *lattice(64, 64), DEFAULT_CONFIG)
+            assert kernel_calls == [4096] and walks == [1, 4096], x
 
 
 def decohering_bases(seed):
@@ -368,28 +378,21 @@ class TestAxialScan:
             assert_scan_contract(got, want, (n_gamma, n_delta))
 
     @staticmethod
-    def measured_state_points(rho, monkeypatch):
+    def measured_state_points(rho, kernel_calls):
         """Points `verify_resurrection` passes to the kernel after `analyze`: the measured state's scan and refinement."""
         sd.analyze(rho, 0.5)
-        sizes = []
-        inner = discord._batched_weak_ce
-
-        def counting(rho4, x, gammas, deltas):
-            sizes.append(len(gammas))
-            return inner(rho4, x, gammas, deltas)
-
-        monkeypatch.setattr(discord, "_batched_weak_ce", counting)
+        kernel_calls.clear()
         sd.verify_resurrection(rho, 0.5)
-        return sum(sizes)
+        return sum(kernel_calls)
 
     @pytest.mark.parametrize("dim_a", [2, 8])
-    def test_measured_state_point_budget(self, dim_a, monkeypatch):
+    def test_measured_state_point_budget(self, dim_a, kernel_calls):
         rho = sd.random_state(1, dim_a=dim_a, rank=2 * dim_a)
-        assert self.measured_state_points(rho, monkeypatch) <= 256
+        assert self.measured_state_points(rho, kernel_calls) <= 256
 
-    def test_flat_measured_state_scans_every_point(self, monkeypatch):
+    def test_flat_measured_state_scans_every_point(self, kernel_calls):
         # the maximally mixed state's measured landscape is flat: every point, nothing to refine
-        assert self.measured_state_points(sd.werner(0.0), monkeypatch) == 4096
+        assert self.measured_state_points(sd.werner(0.0), kernel_calls) == 4096
 
     @pytest.mark.parametrize(
         "rho",
@@ -416,10 +419,18 @@ SCREEN_STATES = [
     pytest.param(sd.validate(CLASSICAL, dim_a=2), id="classical"),  # its minimum is a pole tie
 ]
 SCREEN_STRENGTHS = [0.0, 0.1, 0.5, 2.0, 8.0, INFINITY]
+# the estimate at other dim_a, where eigvalsh gives its spectra; R = 0 for the maximally mixed state
+ESTIMATE_STATES = [
+    *SCREEN_STATES,
+    *[pytest.param(sd.random_state(dim_a, dim_a=dim_a, rank=rank), id=f"ginibre-dim{dim_a}-rank{rank}")
+      for dim_a in (1, 3, 8) for rank in (1, 2 * dim_a)],
+    pytest.param(sd.validate(np.eye(6) / 6, dim_a=3), id="maximally-mixed-dim3"),
+]
 
 
 class TestBlochScreen:
-    """`_lattice_values` at dim_a = 2, screened in closed form, against the full lattice: equal with ==."""
+    """`_lattice_values` at dim_a = 2, with the estimate's closed-form spectra, against the full lattice: equal
+    with ==; and the estimate `_bloch_screen` at every dim_a against the kernel."""
 
     @pytest.mark.parametrize("x", SCREEN_STRENGTHS)
     @pytest.mark.parametrize("rho", SCREEN_STATES)
@@ -431,7 +442,7 @@ class TestBlochScreen:
             want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
             assert_scan_contract(got, want, (n_gamma, n_delta))
 
-    @pytest.mark.parametrize("rho", SCREEN_STATES)
+    @pytest.mark.parametrize("rho", ESTIMATE_STATES)
     def test_screen_is_the_kernel_within_rounding(self, rho):
         # the screen's 1e-8 margins must cover this gap many times over
         rho4, (gg, dd) = rho.as_tensor(), lattice(64, 64)
@@ -441,16 +452,15 @@ class TestBlochScreen:
             assert gap.max() <= 1e-12, x
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_generic_lattice_sends_few_points(self, seed, monkeypatch):
-        sizes, inner = [], discord._batched_weak_ce
-
-        def counting(rho4, x, gammas, deltas):
-            sizes.append(len(gammas))
-            return inner(rho4, x, gammas, deltas)
-
-        monkeypatch.setattr(discord, "_batched_weak_ce", counting)
-        discord._lattice_values(sd.random_state(seed).as_tensor(), 0.5, *lattice(64, 64), DEFAULT_CONFIG)
-        assert len(sizes) == 1 and 2 <= sizes[0] <= 64  # one multi-row batch, as in the full scan
+    def test_generic_lattice_sends_few_points(self, seed, kernel_calls):
+        # at every dim_a, on an even lattice (one hemisphere estimated) and on odd widths (every point)
+        for dim_a in (2, 3, 8):
+            rho4 = sd.random_state(seed, dim_a=dim_a, rank=2 * dim_a).as_tensor()
+            for grid in ((64, 64), (9, 7), (64, 63)):
+                kernel_calls.clear()
+                discord._lattice_values(rho4, 0.5, *lattice(*grid), OptimizerConfig(*grid))
+                # one multi-row batch, as in the full scan
+                assert len(kernel_calls) == 1 and 2 <= kernel_calls[0] <= 64, (dim_a, grid)
 
 
 class TestDiscordMeasures:
@@ -1060,6 +1070,19 @@ class TestKernelBlocks:
         tracemalloc.start()
         try:
             discord._batched_weak_ce(rho4, measure.weak_coefficients(0.5), gg, dd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * discord.BLOCK_BYTES
+
+    def test_lattice_scan_memory_is_bounded(self):
+        # the estimate walks the kernel's blocks; its 2048 points in one pass would hold 16 MiB
+        rho4 = sd.random_state(1, dim_a=16, rank=32).as_tensor()
+        gg, dd = lattice(64, 64)
+        assert 32 * 16**2 * len(gg) // 2 >= 16 * discord.BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            discord._lattice_values(rho4, 0.5, gg, dd, DEFAULT_CONFIG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
