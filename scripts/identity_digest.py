@@ -8,9 +8,11 @@ test (`src` in a checkout). The digest has two sections:
 - the CLI: every command of a fixed set runs in-process through
   `superdiscord.cli.main`, and the script prints its argv, exit code and stdout;
 - the minima: for each state, lattice and strength, the `repr` of
-  `discord._minimize`, `discord.analyze` and `discord.verify_resurrection`, and
-  of `discord.analyze` on a fresh copy of the state that keeps no minima yet,
-  or of the exception each raises. A `repr` shows every float to the last bit,
+  `discord._minimize`, `discord.analyze` and `discord.verify_resurrection`, of
+  `discord._minimize` on the state the check measures, with the axis the check
+  scans it along, so that its `grid_spread` shows, and of `discord.analyze` on
+  a fresh copy of the state that keeps no minima yet, or of the exception each
+  raises. A `repr` shows every float to the last bit,
   where the CLI's stdout shows 12 significant digits. The Ginibre states at
   dim_a = 5 and 8 also take a 64x64 lattice, whose scan the kernel evaluates
   in more than one block.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -116,7 +119,15 @@ def record(call) -> str:
         return repr(exc)
 
 
-def minima_section(discord, families, qstate) -> None:
+def measured_minimum(discord, measure, rho, x, cfg):
+    """`discord._minimize` on the state `verify_resurrection` measures, along the axis it passes."""
+    basis = discord.verify_resurrection(rho, x, cfg).strong_basis  # raises where the check does
+    post = measure.project_state(rho, basis)
+    g, d = basis.gamma, basis.delta
+    return discord._minimize(post, x, cfg, (math.sin(g) * math.cos(d), math.sin(g) * math.sin(d), math.cos(g)))
+
+
+def minima_section(discord, families, measure, qstate) -> None:
     for name, rho in states(families, qstate):
         lattices = LATTICES + [(64, 64)] if rho.dim_a in SPLIT_DIMS else LATTICES
         for grid in lattices:
@@ -125,6 +136,8 @@ def minima_section(discord, families, qstate) -> None:
                 sys.stdout.write(f"# {name} grid={grid[0]}x{grid[1]} x={x}\n")
                 for fn in (discord._minimize, discord.analyze, discord.verify_resurrection):
                     sys.stdout.write(f"{fn.__name__}: {record(lambda: fn(rho, x, cfg))}\n")
+                post = record(lambda: measured_minimum(discord, measure, rho, x, cfg))
+                sys.stdout.write(f"_minimize, measured state: {post}\n")
                 # `rho` keeps its minima across strengths, so after x = 0 its strong minimum is
                 # never computed again; a fresh object makes analyze find both minima at each x
                 fresh = qstate.validate(rho.entries, rho.dim_a)
@@ -137,12 +150,12 @@ def main(argv: list[str]) -> int:
         return 2
     src = os.path.abspath(argv[0])
     sys.path.insert(0, src)
-    from superdiscord import cli, discord, families, qstate
+    from superdiscord import cli, discord, families, measure, qstate
 
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"superdiscord was imported from {cli.__file__}, not from {src}")
     cli_section(cli)
-    minima_section(discord, families, qstate)
+    minima_section(discord, families, measure, qstate)
     return 0
 
 

@@ -8,13 +8,13 @@ the minimization reads off it, and leaves every other point NaN: not
 evaluated. The scan contract: its nanmin, nanmax and nanargmin and its first
 point within FLAT_TOL of the min equal the full scan's min, max, argmin and
 first tie bit for bit, and every value it holds is the full scan's with ==.
-Two scans keep it. An unmeasured state's (`_lattice_values`) takes one
-estimate within 1e-8 of the kernel at every dim_a and lattice, from A's
-Bloch form (`_bloch_screen`), and sends the kernel the points near its min
-or max in one batch. The resurrection check's measured state ρ̃, decohered
-along n_s, has a landscape that depends on c = |m·n_s| alone and never rises
-with c, so its scan (`_axial_values`) evaluates the lattice from both ends of
-c and stops once no point left can be the min, a tie or the max. One kernel,
+One scan, `_lattice_values`, keeps it for every state: an estimate within
+1e-8 of the kernel at every dim_a and lattice, from A's Bloch form
+(`_bloch_screen`), picks the points near its min or max, and the kernel
+evaluates the picks in one batch. The estimate covers one hemisphere, or,
+for the resurrection check's measured state ρ̃, decohered along n_s, whose
+landscape depends on c = |m·n_s| alone and never rises with c, only the
+points from both ends of c that can be its min, a tie or its max. One kernel,
 `_batched_weak_ce`, gives every reported conditional entropy, bit for bit:
 the lattice, the refinement's objective and `weak_conditional_entropy`
 (strong at x = INFINITY). It takes a strength in one form, the operator
@@ -22,11 +22,11 @@ coefficients of `measure.weak_coefficients`, made once per scan or
 refinement, and both outcomes P(x), P(-x) in one pass, on a batch axis with
 their rows never stacked, so a refinement point costs one eigvalsh and one
 entropy pass. It and the estimate walk a flat batch in blocks of about
-BLOCK_BYTES of conditional states, never of one row, so a scan's memory is
-bounded at any dim_a and each point's value is the one a single pass would
-give it, bit for bit. The refinement is an in-package port of scipy's
-default Nelder-Mead that keeps its iterates bit for bit, so numpy is the
-only runtime dependency. Each of its iterations evaluates the reflected
+BLOCK_BYTES of conditional states, never splitting off one row, so a scan's
+memory is bounded at any dim_a and each point's value is the one a single
+pass would give it, bit for bit. The refinement is an in-package port of
+scipy's default Nelder-Mead that keeps its iterates bit for bit, so numpy is
+the only runtime dependency. Each of its iterations evaluates the reflected
 point and the inside contraction in one kernel call, and calls again only
 for an expansion, an outside contraction or a shrink; its evaluation count
 is still scipy's. One driver, `_nm_minimize`, runs every refinement: one run
@@ -68,8 +68,9 @@ class OptimizerConfig:
     needed for a point off the poles; grid_delta points span delta in [0, 2 pi);
     the lattice holds at most MAX_LATTICE_POINTS. The scan estimates every
     point from A's Bloch form, once per antipodal pair when an even
-    grid_delta puts every point's antipode on the lattice, and evaluates only
-    the points near the estimate's min or max, at any dim_a and grid_delta.
+    grid_delta puts every point's antipode on the lattice (a measured state's
+    scan only the ends of its axis), and evaluates only the points near the
+    estimate's min or max, at any dim_a and grid_delta.
     The lattice min, max and ties are the full scan's.
     """
 
@@ -98,7 +99,7 @@ DEFAULT_CONFIG = OptimizerConfig()
 # fatol; 1e-8 is the refinement tolerance every reported number has been computed with.
 FLAT_TOL = 1e-8
 MAX_REFINE_ITERS = 500
-# first chunk of each pass of `_axial_values`, doubled after every chunk that does not end it
+# first chunk of each end of `_lattice_values`'s axial walk, doubled every round
 AXIAL_CHUNK = 16
 # bytes of conditional states one kernel block holds; smaller blocks cost time in per-block dispatch
 BLOCK_BYTES = 1 << 20
@@ -231,85 +232,62 @@ def _bloch_screen(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) ->
     return np.broadcast_to(_blockwise(dim_a, n, block), gg.shape)
 
 
-def _lattice_values(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+def _lattice_values(
+    rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig, axis=None
+) -> np.ndarray:
     """`_batched_weak_ce` on the row-major lattice where it can decide the summary, NaN elsewhere.
 
     The estimate `_bloch_screen`, within ε of the kernel at every point, 2ε
-    far below the 1e-8 margins, picks the points. For even grid_delta it
-    covers the rows k < ceil(G/2), and each lower point takes its antipode's
-    value (n and -n are one measurement with its outcomes swapped, and row
-    G-1-k, column j + D/2 mod D is the antipode of row k, column j); an odd
-    grid_delta has no antipodes on the lattice. The points within
-    FLAT_TOL + 1e-8 of the estimate's min or 1e-8 of its max hold the
-    kernel's min, ties and max. They go to the kernel in one batch, never of
-    one row: it holds the estimate's argmin and argmax, or every point.
+    far below the 1e-8 margins, picks the points; `axis` chooses only which
+    points it covers. With no axis, for even grid_delta it covers the rows
+    k < ceil(G/2), and each lower point takes its antipode's value (n and -n
+    are one measurement with its outcomes swapped, and row G-1-k, column
+    j + D/2 mod D is the antipode of row k, column j); an odd grid_delta has
+    no antipodes on the lattice, so it covers every point. With an axis, the
+    Bloch vector of the basis a measured state was decohered in, the state's
+    R_k = Tr_B[(I⊗σ_k)ρ] is (n·R)n, so A's conditional states along m are
+    (ρ_A ∓ t(m·n)(n·R))/2 and S_w(m) is an even, concave function of m·n (cf.
+    Hamieh, Kobes & Zaraket, PRA 70, 052325 (2004)): it never increases with
+    c = |m·n|. The estimate then walks the lattice from both ends of c at
+    once, in chunks of AXIAL_CHUNK points doubled each round, one
+    `_bloch_screen` call a round: largest c first until a chunk's last point
+    lies more than FLAT_TOL + 1e-8 above the running min, so no point left
+    can be the min or a FLAT_TOL tie, and smallest c first until a chunk's
+    last point lies more than 1e-8 below the running max, so no point left
+    can reach the max. A flat landscape (n·R = 0, as when B is maximally mixed
+    and uncorrelated) never ends the walk, so every point is covered.
+
+    The points within FLAT_TOL + 1e-8 of the estimate's min or 1e-8 of its max
+    hold the kernel's min, ties and max. They go to the kernel in one batch,
+    never of one row: it holds the estimate's argmin and argmax, or every
+    point. Every other point stays NaN.
     """
     coef = measure.weak_coefficients(x)  # checks x before the estimate takes tanh x
     n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
-    n_top = len(gg) if n_delta % 2 else (n_gamma + 1) // 2 * n_delta
-    top = _bloch_screen(rho4, x, gg[:n_top], dd[:n_top])
-    row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
-    est = np.concatenate([top, top[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]])
-    pick = np.flatnonzero((est <= est.min() + FLAT_TOL + 1e-8) | (est >= est.max() - 1e-8))
+    if axis is None:
+        n_top = len(gg) if n_delta % 2 else (n_gamma + 1) // 2 * n_delta
+        top = _bloch_screen(rho4, x, gg[:n_top], dd[:n_top])
+        row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
+        est = np.concatenate([top, top[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]])
+    else:
+        gammas, deltas = gg[::n_delta], dd[:n_delta]
+        c = np.multiply.outer(np.sin(gammas), axis[0] * np.cos(deltas) + axis[1] * np.sin(deltas))
+        c += np.cos(gammas)[:, None] * axis[2]
+        order = np.argsort(np.abs(c, out=c).ravel())  # c ascending; any order of ties will do
+        est = np.full(len(gg), np.nan)
+        lo, hi, size = 0, len(order), AXIAL_CHUNK  # order[lo:hi] is not estimated yet
+        low = high = True  # each end still walking
+        while lo < hi and (low or high):
+            k_high = min(size, hi - lo) if high else 0
+            k_low = min(size, hi - lo - k_high) if low else 0
+            idx = np.concatenate([order[hi - k_high : hi], order[lo : lo + k_low]])
+            est[idx] = _bloch_screen(rho4, x, gg[idx], dd[idx])
+            lo, hi, size = lo + k_low, hi - k_high, 2 * size
+            high = high and est[order[hi]] <= np.nanmin(est) + FLAT_TOL + 1e-8
+            low = low and est[order[lo - 1]] >= np.nanmax(est) - 1e-8
+    pick = np.flatnonzero((est <= np.nanmin(est) + FLAT_TOL + 1e-8) | (est >= np.nanmax(est) - 1e-8))
     vals = np.full(len(gg), np.nan)
     vals[pick] = _batched_weak_ce(rho4, coef, gg[pick], dd[pick])
-    return vals
-
-
-def _axial_values(
-    rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig, axis
-) -> np.ndarray:
-    """The lattice of a state decohered along `axis`, evaluated from both ends of c = |m·axis|, NaN elsewhere.
-
-    Decohered along n, a state's R_k = Tr_B[(I⊗σ_k)ρ] is (n·R)n, so A's
-    conditional states along m are (ρ_A ∓ t(m·n)(n·R))/2 and S_w(m) is an
-    even, concave function of m·n (cf. Hamieh, Kobes & Zaraket, PRA 70, 052325
-    (2004)): it never increases with c. The points are taken in chunks of
-    at least two, largest c first, until the last one lies more than
-    FLAT_TOL + 1e-8 above the running min, so no point left can be the min or
-    a FLAT_TOL tie; then smallest c first, until the last one lies more than
-    1e-8 below the running max, so no point left can reach the max. The 1e-8
-    margins cover the kernel's rounding many times over. Every chunk takes
-    the kernel's multi-row path, as the full scan does, and every point left
-    stays NaN. A flat landscape (n·R = 0, as when B is maximally mixed and
-    uncorrelated) never stops the first pass, so every point is evaluated.
-    """
-    coef = measure.weak_coefficients(x)
-    n_delta = cfg.grid_delta
-    gammas, deltas = gg[::n_delta], dd[:n_delta]
-    c = np.multiply.outer(np.sin(gammas), axis[0] * np.cos(deltas) + axis[1] * np.sin(deltas))
-    c += np.cos(gammas)[:, None] * axis[2]
-    order = np.argsort(np.abs(c, out=c).ravel())  # c ascending; any order of ties will do
-    vals = np.full(len(order), np.nan)
-    lo, hi = 0, len(order)  # order[lo:hi] is not evaluated yet
-
-    def chunk(size):
-        # never leave one point: matmul takes another path for one row, off by an ulp at odd dim_a
-        return hi - lo if hi - lo <= size + 1 else size
-
-    def evaluate(idx):
-        v = _batched_weak_ce(rho4, coef, gg[idx], dd[idx])
-        vals[idx] = v
-        return v
-
-    vmin, size = math.inf, AXIAL_CHUNK
-    while lo < hi:
-        k = chunk(size)
-        hi -= k
-        v = evaluate(order[hi : hi + k][::-1])
-        vmin = min(vmin, v.min())
-        if v[-1] > vmin + FLAT_TOL + 1e-8:
-            break
-        size *= 2
-    vmax, size = vals[order[hi:]].max(), AXIAL_CHUNK
-    while lo < hi:
-        k = chunk(size)
-        lo += k
-        v = evaluate(order[lo - k : lo])
-        vmax = max(vmax, v.max())
-        if v[-1] < vmax - 1e-8:
-            break
-        size *= 2
     return vals
 
 
@@ -452,9 +430,9 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> 
 
     A joint minimization (`_minimize_jointly`) with one strength, whose
     NoConvergence it raises. `axis`, the Bloch vector of the basis rho was
-    decohered in, selects the measured state's scan (`_axial_values`) in
-    place of `_lattice_values`; both keep the scan contract, so the result is
-    the same with or without it.
+    decohered in, makes the lattice estimate walk the measured state's axis
+    in place of the hemisphere (`_lattice_values`); both walks keep the scan
+    contract, so the result is the same with or without it.
     """
     (res,) = _minimize_jointly(rho, [x], cfg, axis)
     if isinstance(res, NoConvergence):
@@ -485,7 +463,7 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     gg, dd = gg.ravel(), dd.ravel()
     scans = []
     for x in xs:
-        vals = _lattice_values(rho4, x, gg, dd, cfg) if axis is None else _axial_values(rho4, x, gg, dd, cfg, axis)
+        vals = _lattice_values(rho4, x, gg, dd, cfg, axis)
         vmin = float(np.nanmin(vals))
         # ties broken toward smallest gamma, then delta (row-major, gamma outer); NaN is no tie
         scans.append((vals, vmin, float(np.nanmax(vals)) - vmin, int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])))
@@ -643,13 +621,14 @@ def verify_resurrection(
     `report` is `analyze(rho, x, cfg)`; after `analyze` on the same state
     object the check adds one minimization, the measured state's. The same
     concavity makes S_w(ρ̃|m) a function of c = |m·n_s| that never increases
-    with c, so that minimization's lattice scan is given n_s's Bloch vector and
-    evaluates only the points that can be its min, FLAT_TOL ties or max
-    (`_axial_values`), leaving the rest NaN. Of the default 4096 points that
-    is 32 for a generic n_s, 256 on the equator and 480 on a pole (a Werner
-    state's ρ̃), and all of them when the landscape is flat (the maximally
-    mixed state). The lattice's summary is the full scan's, bit for bit, and
-    is still refined.
+    with c, so that minimization's lattice scan is given n_s's Bloch vector:
+    its estimate walks the lattice from both ends of c, and the kernel
+    evaluates, in one batch, only the points that can be its min, FLAT_TOL
+    ties or max (`_lattice_values`), leaving the rest NaN. Of the default 4096
+    points that is a few dozen at most for a generic n_s (4 to 28 seen), 132
+    to 188 on the equator and 256 on a pole (a Werner state's ρ̃), and all of
+    them when the landscape is flat (the maximally mixed state). The
+    lattice's summary is the full scan's, bit for bit, and is still refined.
     """
     measure.real_strength(x)
     if not (math.isfinite(x) and x > 0):

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 
-from . import qstate
+from . import measure, qstate
 from .errors import BadDimension, BadRank, DomainError
 from .qstate import DensityMatrix
 
 
 def pure_schmidt(lambda0: float) -> DensityMatrix:
     """Rank-1 state of sqrt(λ0)|00> + sqrt(λ1)|11> with λ1 = 1 - λ0; λ0 = 0.5 is the Bell state."""
+    measure.real_strength(lambda0, "lambda0")
     if not 0.0 <= lambda0 <= 1.0:
         raise DomainError(f"lambda0 must be in [0, 1], got {lambda0}")
     v = np.array([math.sqrt(lambda0), 0.0, 0.0, math.sqrt(1.0 - lambda0)], dtype=complex)
@@ -21,6 +22,7 @@ def pure_schmidt(lambda0: float) -> DensityMatrix:
 
 def werner(z: float) -> DensityMatrix:
     """z |Psi^-><Psi^-| + (1-z) I/4 with the singlet Psi^- = (|01> - |10>)/sqrt(2)."""
+    measure.real_strength(z, "z")
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"z must be in [0, 1], got {z}")
     psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2)

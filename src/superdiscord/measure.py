@@ -63,22 +63,23 @@ def same_basis(b1: QubitBasis, b2: QubitBasis, tol: float = 1e-4) -> bool:
     return bool(overlap >= 1.0 - tol or overlap <= tol)
 
 
-def real_strength(x) -> None:
+def real_strength(x, name: str = "strength") -> None:
     """Reject a strength that is a bool, not a real number or beyond float range, with DomainError.
 
     Python ints and floats and numpy real scalars pass; strings, None, complex
     numbers, lists and arrays do not, nor an int such as 10**400 that no float
-    holds. The sign is `weak_amplitudes`'s check.
+    holds. The sign is `weak_amplitudes`'s check. The state families check
+    their parameters by the same rule, under their own `name`.
     """
     if type(x) is float:
         return
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise DomainError(f"strength must be a real number, got {x!r}")
+        raise DomainError(f"{name} must be a real number, got {x!r}")
     try:
         float(x)
     except OverflowError:
         # no repr: a str of over 4300 digits raises ValueError
-        raise DomainError(f"strength must fit in a float, got {type(x).__name__} beyond float range") from None
+        raise DomainError(f"{name} must fit in a float, got {type(x).__name__} beyond float range") from None
 
 
 def weak_amplitudes(x: float) -> tuple[float, float]:

@@ -228,7 +228,7 @@ class TestMinimizer:
             assert vmin <= sd.weak_conditional_entropy(rho, b, 0.5) + 1e-9
 
 
-def full_lattice(rho4, x, gg, dd, cfg):
+def full_lattice(rho4, x, gg, dd, cfg, axis=None):
     return discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
 
 
@@ -352,9 +352,11 @@ AXIAL_GRIDS = [(64, 64), (9, 7), (6, 6), (3, 1)]
 
 
 class TestAxialScan:
-    """`_axial_values` against the full `_batched_weak_ce` lattice: equal with ==."""
+    """`_lattice_values` with an axis, its estimate walking a measured state's axis, against the full
+    `_batched_weak_ce` lattice: equal with ==."""
 
-    @pytest.mark.parametrize("x", [0.1, 0.5, 2.0])
+    # at x = 0 the estimate's t·R is zero, so each round estimates one point for all
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.5, 2.0, INFINITY])
     @pytest.mark.parametrize("dim_a", range(1, 9))
     def test_summary_matches_full_lattice(self, dim_a, x):
         rho = sd.random_state(dim_a, dim_a=dim_a, rank=2 * dim_a)
@@ -362,7 +364,7 @@ class TestAxialScan:
             rho4 = sd.project_state(rho, basis).as_tensor()
             for n_gamma, n_delta in AXIAL_GRIDS:
                 gg, dd = lattice(n_gamma, n_delta)
-                got = discord._axial_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(basis))
+                got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(basis))
                 want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
                 assert_scan_contract(got, want, (basis, n_gamma, n_delta))
 
@@ -373,9 +375,24 @@ class TestAxialScan:
         rho4 = sd.project_state(sd.werner(z), COMPUTATIONAL).as_tensor()
         for n_gamma, n_delta in AXIAL_GRIDS:
             gg, dd = lattice(n_gamma, n_delta)
-            got = discord._axial_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(COMPUTATIONAL))
+            got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(COMPUTATIONAL))
             want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
             assert_scan_contract(got, want, (n_gamma, n_delta))
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("dim_a", [2, 3, 8])
+    def test_one_kernel_batch_per_scan(self, dim_a, x, kernel_calls):
+        # the estimate walks the axis without the kernel, which then takes the picks in one multi-row batch
+        rho = sd.random_state(dim_a, dim_a=dim_a, rank=2 * dim_a)
+        for basis in decohering_bases(dim_a):
+            kernel_calls.clear()
+            rho4 = sd.project_state(rho, basis).as_tensor()
+            discord._lattice_values(rho4, x, *lattice(64, 64), DEFAULT_CONFIG, bloch(basis))
+            assert len(kernel_calls) == 1 and 2 <= kernel_calls[0] <= 256, basis
+        kernel_calls.clear()
+        rho4 = sd.project_state(sd.werner(0.0), COMPUTATIONAL).as_tensor()  # a flat landscape: every point
+        discord._lattice_values(rho4, x, *lattice(64, 64), DEFAULT_CONFIG, bloch(COMPUTATIONAL))
+        assert kernel_calls == [4096]
 
     @staticmethod
     def measured_state_points(rho, kernel_calls):

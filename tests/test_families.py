@@ -57,6 +57,24 @@ class TestConstructors:
         with pytest.raises(DomainError):
             sd.werner(-0.1)
 
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            pytest.param(sd.werner, "z", True, id="werner-bool"),
+            pytest.param(sd.werner, "z", "0.5", id="werner-str"),
+            pytest.param(sd.werner, "z", np.array([0.5, 0.6]), id="werner-array"),
+            pytest.param(sd.werner, "z", 10**400, id="werner-int-beyond-float"),
+            pytest.param(sd.pure_schmidt, "lambda0", None, id="pure-none"),
+            pytest.param(sd.pure_schmidt, "lambda0", 1 + 0j, id="pure-complex"),
+            pytest.param(sd.pure_schmidt, "lambda0", False, id="pure-bool"),
+            pytest.param(sd.pure_schmidt, "lambda0", -(10**400), id="pure-int-beyond-float"),
+        ],
+    )
+    def test_non_real_parameter_rejected(self, make, name, value):
+        # the strengths' rule: a bool, a non-real or an out-of-float-range parameter is a DomainError
+        with pytest.raises(DomainError, match=f"^{name} must (be a real number|fit in a float)"):
+            make(value)
+
     def test_random_pure(self):
         rho = sd.random_state(9, dim_a=2, rank=1)
         assert sd.von_neumann_entropy(rho.entries) == pytest.approx(0.0, abs=1e-9)
