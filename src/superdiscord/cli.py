@@ -254,7 +254,7 @@ def cmd_sweep(args) -> int:
     # every row's strength or state passes its check before any minimization
     if args.axis == "x":
         for value in grid:
-            measure.weak_amplitudes(value)
+            measure.weak_coefficients(value)
         rho = resolve_state(args)  # one state object, so its strong minimum is found once
         rows = [(value, rho, value) for value in grid]
     else:

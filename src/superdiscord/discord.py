@@ -29,18 +29,20 @@ scipy's default Nelder-Mead that keeps its iterates bit for bit, so numpy is
 the only runtime dependency. Each of its iterations evaluates the reflected
 point and the inside contraction in one kernel call, and calls again only
 for an expansion, an outside contraction or a shrink; its evaluation count
-is still scipy's. One driver, `_nm_minimize`, runs every refinement: one run
-per strength whose lattice is not flat, all advanced in lockstep, each
-round's points sent to the kernel in one call on a batch axis, each point
-with its own coefficients, so each gets the value it would get alone.
+is still scipy's. One driver, `_nm_minimize`, runs every refinement in one
+pass: one run per strength whose lattice is not flat, all advanced in
+lockstep, each round's points sent to the kernel in one call on a batch axis,
+each point with its own coefficients, so each gets the value it would get
+alone. A run that ends neither in success nor flat restarts once from its
+best point within the same pass, without waiting for the other runs.
 `analyze` so refines its strong and weak minima with as many calls as the
-longer refinement makes alone; every minimum that succeeds is kept on the
-state, and the first NoConvergence in strength order, the strong one first,
-is raised. The refinement's constants are fixed, not options: angle
-tolerance 1e-8, value tolerance FLAT_TOL and at most MAX_REFINE_ITERS
-iterations, the settings every reported number has been computed with. It
-has no evaluation budget, because the iteration cap bounds the evaluations
-(see `_nm_steps`).
+longer refinement, restart included, makes alone; every minimum that
+succeeds is kept on the state, and the first NoConvergence in strength
+order, the strong one first, is raised. The refinement's constants are
+fixed, not options: angle tolerance 1e-8, value tolerance FLAT_TOL and at
+most MAX_REFINE_ITERS iterations, the settings every reported number has
+been computed with. It has no evaluation budget, because the iteration cap
+bounds the evaluations (see `_nm_steps`).
 """
 
 from __future__ import annotations
@@ -300,18 +302,19 @@ class _NMResult:
     flat: bool  # the final simplex values lie within FLAT_TOL of the best, scipy's fatol test
 
 
-def _nm_minimize(fun, starts) -> list[_NMResult]:
-    """Nelder-Mead on two variables from each start, step for step as scipy's default method.
+def _nm_minimize(fun, runs) -> list[_NMResult]:
+    """Drive a list of Nelder-Mead runs, each a generator such as `_nm_steps(x0)`, in lockstep.
 
-    The package's one driver of `_nm_steps`: one run per start, advanced in
-    lockstep. Each round calls `fun` once with a list of (run, point) pairs,
-    every live run's pending points with runs in start order, and takes their
-    values as a list of floats in that order; a run that has finished drops
-    out. So `fun` is called as often as the longest run calls it alone and,
-    provided each point gets the value it would get alone, each run takes the
-    steps it takes alone. Returns the `_NMResult`s in start order.
+    The package's one driver of `_nm_steps`. A run yields each list of points
+    it needs, is sent their values, and returns its `_NMResult`; it may chain
+    several `_nm_steps` runs, as a refinement that restarts does. Each round
+    calls `fun` once with a list of (run, point) pairs, every live run's
+    pending points with runs in the order given, and takes their values as a
+    list of floats in that order; a run that has finished drops out. So `fun`
+    is called as often as the longest run calls it alone and, provided each
+    point gets the value it would get alone, each run takes the steps it takes
+    alone. Returns the `_NMResult`s in the order of runs.
     """
-    runs = [_nm_steps(x0) for x0 in starts]
     pending = {r: next(run) for r, run in enumerate(runs)}  # each live run's points
     results = [None] * len(runs)
     while pending:
@@ -447,13 +450,15 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     NoConvergence that `_minimize` raises; a bad strength raises before any
     scan. The lattices are scanned one after the other, as `_minimize` scans
     each. Every lattice that is not flat starts a refinement from its best
-    point, and one `_nm_minimize` call runs them all. Its objective puts each
-    point on a batch axis with its run's coefficients, so each point gets the
-    value it would get alone and each refinement takes the steps it takes
-    alone; the kernel calls are as many as the longest refinement's, not the
-    sum over them. A refinement that ends neither in success nor flat runs
-    once more from its best point, all such in one more `_nm_minimize` call,
-    and its NoConvergence is raised only if that run fails too.
+    point, and one `_nm_minimize` call runs them all, none when every lattice
+    is flat. Its objective reads each point's coefficients from one
+    (4, runs) table and puts the point on a batch axis, so each point gets
+    the value it would get alone and each refinement takes the steps it takes
+    alone. A refinement is one `_nm_steps` run, and, when that ends neither
+    in success nor flat, a second from its best point, inside the same run of
+    the lockstep; its NoConvergence is raised only if the second fails too.
+    The kernel calls are as many as the longest refinement's, restart
+    included, not the sum over them.
     """
     coef_of = [measure.weak_coefficients(x) for x in xs]  # a bad strength raises before the first scan
     rho4 = rho.as_tensor()
@@ -472,24 +477,21 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     live = [j for j, (_, _, spread, _) in enumerate(scans) if spread >= FLAT_TOL]
     table = np.array([coef_of[j] for j in live]).T.copy()  # (4, runs), C order
 
-    def refine(starts, coefs):
-        def objective(pairs):
-            # (k, 1) angles: each point on a batch axis, as if alone, with its run's coefficients;
-            # take gives each round's (4, k, 1) slice in C order, as the kernel is fastest with
-            runs, points = zip(*pairs)
-            g, d = np.array(points).T[:, :, None]
-            return _batched_weak_ce(rho4, coefs.take(np.array(runs)[:, None], axis=1), g, d)[:, 0].tolist()
+    def objective(pairs):
+        # (k, 1) angles: each point on a batch axis, as if alone, with its run's coefficients;
+        # take gives each round's (4, k, 1) slice in C order, as the kernel is fastest with
+        runs, points = zip(*pairs)
+        g, d = np.array(points).T[:, :, None]
+        return _batched_weak_ce(rho4, table.take(np.array(runs)[:, None], axis=1), g, d)[:, 0].tolist()
 
-        return _nm_minimize(objective, starts)
+    def refinement(x0):
+        res = yield from _nm_steps(x0)
+        # a stalled run, such as one whose start at delta = 0 gets a simplex only 0.00025 wide in delta,
+        # restarts once from its best point, with a new simplex and never a worse best value
+        return res if res.success or res.flat else (yield from _nm_steps(res.x))
 
     # no call when every lattice is flat, so that an `_nm_minimize` call always refines something
-    found = refine([(gg[scans[j][3]], dd[scans[j][3]]) for j in live], table) if live else []
-    # a stalled run, such as one whose start at delta = 0 gets a simplex only 0.00025 wide in delta,
-    # restarts once from its best point, with a new simplex and never a worse best value
-    stalled = [r for r, res in enumerate(found) if not (res.success or res.flat)]
-    if stalled:
-        for r, res in zip(stalled, refine([found[r].x for r in stalled], table.take(stalled, axis=1))):
-            found[r] = res
+    found = _nm_minimize(objective, [refinement((gg[scans[j][3]], dd[scans[j][3]])) for j in live]) if live else []
     refined = dict(zip(live, found))
 
     out = []
@@ -566,7 +568,7 @@ def analyze(
     rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> DiscordReport:
     """All correlation measures of one state at one strength, bundled."""
-    measure.weak_amplitudes(x)  # reject a bad strength before any minimization
+    measure.weak_coefficients(x)  # reject a bad strength before any minimization
     cond_qq = quantum_conditional_entropy(rho)
     strong, weak = _minima(rho, [INFINITY, x], cfg)  # one joint minimization, or one at x = INFINITY
     ds = strong.value - cond_qq

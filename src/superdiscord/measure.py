@@ -30,6 +30,13 @@ class QubitBasis:
     gamma: float
     delta: float
 
+    def __post_init__(self):
+        for name in ("gamma", "delta"):
+            value = getattr(self, name)
+            real_strength(value, name)
+            if not math.isfinite(value):  # a NaN state would pass the kernel as a degenerate outcome
+                raise DomainError(f"{name} must be finite, got {value}")
+
     def ket(self) -> np.ndarray:
         c, s = np.cos(self.gamma / 2), np.sin(self.gamma / 2)
         return np.array([c, np.exp(1j * self.delta) * s])
@@ -68,8 +75,9 @@ def real_strength(x, name: str = "strength") -> None:
 
     Python ints and floats and numpy real scalars pass; strings, None, complex
     numbers, lists and arrays do not, nor an int such as 10**400 that no float
-    holds. The sign is `weak_amplitudes`'s check. The state families check
-    their parameters by the same rule, under their own `name`.
+    holds. The sign is `weak_coefficients`'s check. The state families check
+    their parameters, and `QubitBasis` its angles, by the same rule, under
+    their own `name`.
     """
     if type(x) is float:
         return
@@ -82,24 +90,19 @@ def real_strength(x, name: str = "strength") -> None:
         raise DomainError(f"{name} must fit in a float, got {type(x).__name__} beyond float range") from None
 
 
-def weak_amplitudes(x: float) -> tuple[float, float]:
-    """(a(x), a(-x)) with a(±x) = sqrt((1 ∓ tanh x)/2), for a strength x >= 0.
+def weak_coefficients(x: float) -> tuple[float, float, float, float]:
+    """a(∓x) for P(x), P(-x), then a(±x) − a(∓x) for each, with a(±x) = sqrt((1 ∓ tanh x)/2).
 
-    The one strength rule of the package: a bool, a non-real x or an int beyond
-    float range raises DomainError (`real_strength`), a negative or NaN x
-    NegativeStrength, and x = INFINITY gives tanh = 1 exactly, the projective
-    limit a(x) = 0, a(-x) = 1.
+    The one place a strength is checked and becomes operator coefficients: a
+    bool, a non-real x or an int beyond float range raises DomainError
+    (`real_strength`), a negative or NaN x NegativeStrength, and x = INFINITY
+    gives tanh = 1 exactly, the projective limit a(x) = 0, a(-x) = 1.
     """
     real_strength(x)
     if not x >= 0:
         raise NegativeStrength(f"strength must be >= 0, got {x}")
     t = math.tanh(x)
-    return math.sqrt((1.0 - t) / 2.0), math.sqrt((1.0 + t) / 2.0)
-
-
-def weak_coefficients(x: float) -> tuple[float, float, float, float]:
-    """a(∓x) for P(x), P(-x), then a(±x) − a(∓x) for each: the one place a strength becomes operator coefficients."""
-    ap, am = weak_amplitudes(x)
+    ap, am = math.sqrt((1.0 - t) / 2.0), math.sqrt((1.0 + t) / 2.0)
     return am, ap, ap - am, am - ap
 
 

@@ -177,25 +177,14 @@ class TestMinimizer:
             discord._minimize(rho, 0.5, DEFAULT_CONFIG)
         assert exc.value.best_value <= lattice_min
 
-    def test_stalled_refinement_restarts_from_its_best_point(self, monkeypatch):
-        # the 27th rank-4 Ginibre state of this seed: at 16 x 16 its strong refinement starts at
-        # (1.0472, 0), where the simplex is 0.00025 wide in delta, and stalls at 0.749089212211
-        rng = np.random.default_rng([1, 2])
-        for _ in range(27):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho = sd.validate(g @ g.conj().T / np.trace(g @ g.conj().T).real, dim_a=2)
-        inner, runs = discord._nm_minimize, []
-
-        def recording(fun, starts):
-            found = inner(fun, starts)
-            runs.append([res.success or res.flat for res in found])
-            return found
-
-        monkeypatch.setattr(discord, "_nm_minimize", recording)
+    def test_stalled_refinement_restarts_from_its_best_point(self, nm_runs):
+        # at 16 x 16 the strong refinement of this state starts at (1.0472, 0), where the simplex
+        # is 0.00025 wide in delta, and stalls at 0.749089212211
+        rho = stalling_state()
         got = discord._minimize(rho, INFINITY, OptimizerConfig(16, 16)).value
-        assert runs == [[False], [True]]
+        assert nm_runs == [False, True]
         assert got == pytest.approx(discord._minimize(rho, INFINITY, DEFAULT_CONFIG).value, abs=1e-9)
-        assert runs[2:] == [[True]]  # the 64 x 64 refinement needs no restart
+        assert nm_runs[2:] == [True]  # the 64 x 64 refinement needs no restart
 
     @pytest.mark.parametrize("x", [0.5, INFINITY])
     def test_minimum_on_a_pole_converges(self, x):
@@ -226,6 +215,29 @@ class TestMinimizer:
         for _ in range(20):
             b = QubitBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             assert vmin <= sd.weak_conditional_entropy(rho, b, 0.5) + 1e-9
+
+
+def stalling_state():
+    """The 27th rank-4 Ginibre state of this seed, whose refinements stall at 16 x 16: the strong one,
+    and the weak one at x = 2 but not at x = 0.1 or 0.5."""
+    rng = np.random.default_rng([1, 2])
+    for _ in range(27):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return sd.validate(g @ g.conj().T / np.trace(g @ g.conj().T).real, dim_a=2)
+
+
+@pytest.fixture
+def nm_runs(monkeypatch):
+    """Whether each Nelder-Mead run (`discord._nm_steps`) ended in success or flat, in the order they end."""
+    ended, inner = [], discord._nm_steps
+
+    def recording(x0):
+        res = yield from inner(x0)
+        ended.append(res.success or res.flat)
+        return res
+
+    monkeypatch.setattr(discord, "_nm_steps", recording)
+    return ended
 
 
 def full_lattice(rho4, x, gg, dd, cfg, axis=None):
@@ -767,6 +779,24 @@ class TestJointMinimization:
                     assert np.isfinite([res.value, res.grid_spread, res.basis.gamma, res.basis.delta]).all(), x
             assert [repr(res) for res in found] == [strong, weak], x
 
+    @pytest.mark.parametrize("x", [0.5, 2.0])
+    def test_joint_equals_alone_with_restarts(self, x, nm_runs, monkeypatch):
+        # at 16 x 16 the strong run of this state restarts, and at x = 2 the weak one too
+        cfg = OptimizerConfig(16, 16)
+        alone = [outcome(lambda: discord._minimize(stalling_state(), s, cfg)) for s in (INFINITY, x)]
+        inner, calls = discord._nm_minimize, []
+
+        def counting(fun, runs):
+            calls.append(len(runs))
+            return inner(fun, runs)
+
+        monkeypatch.setattr(discord, "_nm_minimize", counting)
+        del nm_runs[:]
+        found = discord._minimize_jointly(stalling_state(), [INFINITY, x], cfg)
+        assert calls == [2]  # one call runs both refinements, the restarts included
+        assert nm_runs.count(False) == (1 if x == 0.5 else 2)
+        assert [repr(res) for res in found] == alone
+
     def test_analyze_raises_the_strong_failure(self, monkeypatch):
         rho = sd.random_state(1)
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 3)
@@ -884,7 +914,7 @@ class TestNelderMeadPort:
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", maxiter)
         options = {"xatol": 1e-8, "fatol": 1e-8, "maxiter": maxiter, "maxfev": 4 * maxiter}
         ref = minimize(fun, list(x0), method="Nelder-Mead", options=options)
-        (res,) = discord._nm_minimize(pointwise(fun), [x0])
+        (res,) = discord._nm_minimize(pointwise(fun), [discord._nm_steps(x0)])
         assert (tuple(res.x), res.fun, res.nfev, res.success) == (
             tuple(ref.x), ref.fun, ref.nfev, ref.success
         )
@@ -929,11 +959,12 @@ class TestNelderMeadPort:
         alone = []
         for fun, x0 in zip(funs, starts):
             calls = []
-            discord._nm_minimize(counted(pointwise(fun), calls), [x0])
+            discord._nm_minimize(counted(pointwise(fun), calls), [discord._nm_steps(x0)])
             alone.append(calls)
         assert len({len(calls) for calls in alone}) == len(alone)  # each run ends in its own round
         calls = []
-        results = discord._nm_minimize(counted(lambda pairs: [funs[r](p) for r, p in pairs], calls), starts)
+        runs = [discord._nm_steps(x0) for x0 in starts]
+        results = discord._nm_minimize(counted(lambda pairs: [funs[r](p) for r, p in pairs], calls), runs)
         assert len(results) == len(starts)
         for fun, x0, res in zip(funs, starts, results):
             ref = minimize(fun, list(x0), method="Nelder-Mead", options=options)
@@ -945,23 +976,24 @@ class TestNelderMeadPort:
 
     def test_failure_branches_reached(self, monkeypatch):
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
-        assert not discord._nm_minimize(pointwise(rosenbrock), [(-1.2, 1.0)])[0].success
+        assert not discord._nm_minimize(pointwise(rosenbrock), [discord._nm_steps((-1.2, 1.0))])[0].success
 
     def test_flat_simplex_without_success(self):
         # on the pole the values settle at 0 while delta wanders
         fun = weak_ce_objective_of(sd.validate(CLASSICAL, dim_a=2), INFINITY)
-        (res,) = discord._nm_minimize(pointwise(fun), [(0.0, 0.0)])
+        (res,) = discord._nm_minimize(pointwise(fun), [discord._nm_steps((0.0, 0.0))])
         assert (res.success, res.flat, res.fun) == (False, True, 0.0)
 
     def test_success_is_flat(self, monkeypatch):
-        assert discord._nm_minimize(pointwise(rosenbrock), [(-1.2, 1.0)])[0].flat
+        assert discord._nm_minimize(pointwise(rosenbrock), [discord._nm_steps((-1.2, 1.0))])[0].flat
         monkeypatch.setattr(discord, "MAX_REFINE_ITERS", 5)
-        assert not discord._nm_minimize(pointwise(rosenbrock), [(-1.2, 1.0)])[0].flat
+        assert not discord._nm_minimize(pointwise(rosenbrock), [discord._nm_steps((-1.2, 1.0))])[0].flat
 
 
 def einsum_weak_ce(rho4, x, gammas, deltas):
     """The kernel as first written: one optimized three-operand einsum per outcome."""
-    ap, am = measure.weak_amplitudes(x)
+    t = math.tanh(x)
+    ap, am = math.sqrt((1 - t) / 2), math.sqrt((1 + t) / 2)
     kets = np.stack([np.cos(gammas / 2), np.exp(1j * deltas) * np.sin(gammas / 2)], axis=-1)
     proj = kets[:, :, None] * kets.conj()[:, None, :]
     vals = np.zeros(len(gammas))

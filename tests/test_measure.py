@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import superdiscord as sd
 from superdiscord import measure
-from superdiscord.errors import NegativeStrength
+from superdiscord.errors import DomainError, NegativeStrength
 from superdiscord.measure import INFINITY, QubitBasis, basis_from_ket, same_basis
 
 from oracles import COMPUTATIONAL, tensor
@@ -47,6 +48,37 @@ class TestQubitBasis:
     def test_idempotent(self):
         for pi in sd.projectors(QubitBasis(1.1, 0.3)):
             assert np.abs(pi @ pi - pi).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "gamma, delta, message",
+        [
+            (math.nan, 0.0, "gamma must be finite"),
+            (0.5, math.inf, "delta must be finite"),
+            (-math.inf, 0.0, "gamma must be finite"),
+            (np.float64("nan"), 1.0, "gamma must be finite"),
+            (0.5, np.float32("-inf"), "delta must be finite"),
+            ("a", 0, "gamma must be a real number"),
+            (True, 0.0, "gamma must be a real number"),
+            (0.5, 1j, "delta must be a real number"),
+            (0.5, None, "delta must be a real number"),
+            (0.5, np.array(0.5), "delta must be a real number"),
+            (10**400, 0.0, "gamma must fit in a float"),
+        ],
+        ids=["nan", "inf", "-inf", "np-nan", "np32-inf", "str", "bool", "complex", "none", "0d-array", "1e400"],
+    )
+    def test_rejects_non_finite_or_non_real_angle(self, gamma, delta, message):
+        # a NaN angle once gave NaN outcome states with a RuntimeWarning, and a weak conditional
+        # entropy of 0.0, its NaN outcomes dropped as degenerate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                QubitBasis(gamma, delta)
+
+    @pytest.mark.parametrize("gamma, delta", [(1, 0), (np.float32(0.5), np.int64(2)), (-1e300, 7.0)], ids=repr)
+    def test_accepts_finite_real_angles(self, gamma, delta):
+        b = QubitBasis(gamma, delta)
+        assert (b.gamma, b.delta) == (gamma, delta)
+        assert np.isfinite(sd.weak_conditional_entropy(sd.random_state(1), b, 0.5))
 
     def test_basis_from_ket_roundtrip(self, rng):
         for _ in range(50):
