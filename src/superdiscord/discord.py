@@ -35,12 +35,14 @@ lockstep, each round's points sent to the kernel in one call on a batch axis,
 each point with its own coefficients, so each gets the value it would get
 alone. A run that ends neither in success nor flat restarts once from its
 best point within the same pass, without waiting for the other runs.
-`analyze` so refines its strong and weak minima with as many calls as the
-longer refinement, restart included, makes alone; every minimum that
-succeeds is kept on the state, and the first NoConvergence in strength
-order, the strong one first, is raised. The refinement's constants are
-fixed, not options: angle tolerance 1e-8, value tolerance FLAT_TOL and at
-most MAX_REFINE_ITERS iterations, the settings every reported number has
+One function, `_minima`, finds every minimum: it checks each strength,
+looks up the minima kept on the state object, scans and refines the missing
+ones together, keeps each that succeeds and then raises the first
+NoConvergence in strength order. `analyze` so refines its strong and weak
+minima with as many calls as the longer refinement, restart included, makes
+alone, and `_minimize` is its one-strength call. The refinement's constants
+are fixed, not options: angle tolerance 1e-8, value tolerance FLAT_TOL and
+at most MAX_REFINE_ITERS iterations, the settings every reported number has
 been computed with. It has no evaluation budget, because the iteration cap
 bounds the evaluations (see `_nm_steps`).
 """
@@ -429,45 +431,44 @@ class MinimizationResult:
 
 
 def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> MinimizationResult:
-    """The basis minimizing S_w(rho|.) at x: the lattice's best point, then refined.
+    """The basis minimizing S_w(rho|.) at x: `_minima` at one strength, kept on rho as it keeps every minimum."""
+    return _minima(rho, [x], cfg, axis)[0]
 
-    A joint minimization (`_minimize_jointly`) with one strength, whose
-    NoConvergence it raises. `axis`, the Bloch vector of the basis rho was
-    decohered in, makes the lattice estimate walk the measured state's axis
-    in place of the hemisphere (`_lattice_values`); both walks keep the scan
-    contract, so the result is the same with or without it.
+
+def _minima(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -> list[MinimizationResult]:
+    """The basis minimizing S_w(rho|.) at each strength of xs, found once per state object and kept on it.
+
+    Every strength is checked (`measure.weak_coefficients`) before any lookup
+    or scan; then the minima kept for (x, cfg) are looked up. The lattices of
+    the others are scanned one after the other, and every lattice that is not
+    flat starts a refinement from its best point: one `_nm_minimize` call runs
+    them all, none when every lattice is flat. Its objective reads each
+    point's coefficients from one (4, runs) table and puts the point on a
+    batch axis, so each point gets the value it would get alone and each
+    refinement takes the steps it takes alone: a minimum has the same bits
+    whatever strengths share the call. A refinement is one `_nm_steps` run,
+    and, when that ends neither in success nor flat, a second from its best
+    point, inside the same run of the lockstep; it fails only if the second
+    fails too. The kernel calls are as many as the longest refinement's,
+    restart included, not the sum over them. Every minimum found is kept;
+    then the first NoConvergence, in the order of xs, is raised.
+
+    `axis`, the Bloch vector of the basis rho was decohered in, makes the
+    lattice estimate walk the measured state's axis in place of the
+    hemisphere (`_lattice_values`). Both walks keep the scan contract, so a
+    minimum is the same with or without it, and its key leaves the axis out.
     """
-    (res,) = _minimize_jointly(rho, [x], cfg, axis)
-    if isinstance(res, NoConvergence):
-        raise res
-    return res
-
-
-def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -> list:
-    """`_minimize(rho, x, cfg, axis)` at each strength of xs, with the refinements run in lockstep.
-
-    Each entry is, at its strength, the MinimizationResult, or the
-    NoConvergence that `_minimize` raises; a bad strength raises before any
-    scan. The lattices are scanned one after the other, as `_minimize` scans
-    each. Every lattice that is not flat starts a refinement from its best
-    point, and one `_nm_minimize` call runs them all, none when every lattice
-    is flat. Its objective reads each point's coefficients from one
-    (4, runs) table and puts the point on a batch axis, so each point gets
-    the value it would get alone and each refinement takes the steps it takes
-    alone. A refinement is one `_nm_steps` run, and, when that ends neither
-    in success nor flat, a second from its best point, inside the same run of
-    the lockstep; its NoConvergence is raised only if the second fails too.
-    The kernel calls are as many as the longest refinement's, restart
-    included, not the sum over them.
-    """
-    coef_of = [measure.weak_coefficients(x) for x in xs]  # a bad strength raises before the first scan
+    coef_of = {x: measure.weak_coefficients(x) for x in xs}  # a bad strength raises before any lookup or scan
+    missing = [x for x in coef_of if (x, cfg) not in rho._minima]
+    if not missing:
+        return [rho._minima[x, cfg] for x in xs]
     rho4 = rho.as_tensor()
     gammas = np.linspace(0.0, math.pi, cfg.grid_gamma)
     deltas = np.linspace(0.0, 2 * math.pi, cfg.grid_delta, endpoint=False)
     gg, dd = np.meshgrid(gammas, deltas, indexing="ij")
     gg, dd = gg.ravel(), dd.ravel()
     scans = []
-    for x in xs:
+    for x in missing:
         vals = _lattice_values(rho4, x, gg, dd, cfg, axis)
         vmin = float(np.nanmin(vals))
         # ties broken toward smallest gamma, then delta (row-major, gamma outer); NaN is no tie
@@ -475,7 +476,7 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
 
     # on a flat landscape there is nothing to refine, and Nelder-Mead cycles on exact ties
     live = [j for j, (_, _, spread, _) in enumerate(scans) if spread >= FLAT_TOL]
-    table = np.array([coef_of[j] for j in live]).T.copy()  # (4, runs), C order
+    table = np.array([coef_of[missing[j]] for j in live]).T.copy()  # (4, runs), C order
 
     def objective(pairs):
         # (k, 1) angles: each point on a batch axis, as if alone, with its run's coefficients;
@@ -494,16 +495,15 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
     found = _nm_minimize(objective, [refinement((gg[scans[j][3]], dd[scans[j][3]])) for j in live]) if live else []
     refined = dict(zip(live, found))
 
-    out = []
-    for j, (vals, vmin, spread, idx) in enumerate(scans):
+    failures = []
+    for j, (x, (vals, vmin, spread, idx)) in enumerate(zip(missing, scans)):
         res = refined.get(j)
         if res is None:  # a flat lattice keeps its first tie
             g_best, d_best, v_best = float(gg[idx]), float(dd[idx]), float(vals[idx])
         elif not (res.success or res.flat):
-            out.append(NoConvergence(
-                f"basis refinement stopped before reaching tol {FLAT_TOL:g} "
-                f"(best value {min(res.fun, vmin):.9g})",
-                best_value=float(min(res.fun, vmin)),
+            best = float(min(res.fun, vmin))
+            failures.append(NoConvergence(
+                f"basis refinement stopped before reaching tol {FLAT_TOL:g} (best value {best:.9g})", best_value=best
             ))
             continue
         elif res.fun <= vmin:
@@ -513,26 +513,9 @@ def _minimize_jointly(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -
             g_best, d_best, v_best = float(gg[jmin]), float(dd[jmin]), vmin
         # fold arbitrary refined angles back into canonical ranges
         basis = measure.basis_from_ket(QubitBasis(g_best, d_best).ket())
-        out.append(MinimizationResult(basis, v_best, spread))
-    return out
-
-
-def _minima(rho: DensityMatrix, xs, cfg: OptimizerConfig) -> list[MinimizationResult]:
-    """`_minimize(rho, x, cfg)` at each strength of xs, run once per state object and kept on it.
-
-    The strengths not kept yet are minimized together, in one
-    `_minimize_jointly` call. Every minimum found is kept; then the first
-    NoConvergence, in the order of xs, is raised.
-    """
-    for x in xs:
-        measure.real_strength(x)  # before the lookup, which could not even hash a list or an array
-    missing = [x for x in dict.fromkeys(xs) if (x, cfg) not in rho._minima]
-    if missing:
-        found = _minimize_jointly(rho, missing, cfg)
-        rho._minima.update(((x, cfg), res) for x, res in zip(missing, found) if not isinstance(res, NoConvergence))
-        for res in found:
-            if isinstance(res, NoConvergence):
-                raise res
+        rho._minima[x, cfg] = MinimizationResult(basis, v_best, spread)
+    if failures:
+        raise failures[0]
     return [rho._minima[x, cfg] for x in xs]
 
 
@@ -568,7 +551,6 @@ def analyze(
     rho: DensityMatrix, x: float, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> DiscordReport:
     """All correlation measures of one state at one strength, bundled."""
-    measure.weak_coefficients(x)  # reject a bad strength before any minimization
     cond_qq = quantum_conditional_entropy(rho)
     strong, weak = _minima(rho, [INFINITY, x], cfg)  # one joint minimization, or one at x = INFINITY
     ds = strong.value - cond_qq

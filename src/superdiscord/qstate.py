@@ -39,7 +39,9 @@ def validate(m, dim_a: int) -> DensityMatrix:
 
     The Hermitian part is taken (after checking the asymmetry is within
     tolerance), so tiny floating-point asymmetry is repaired, large asymmetry
-    rejected.
+    rejected. Finite entries near float's limit can overflow the Hermitian
+    part or the trace; the checks read the overflow, never a numpy warning,
+    and a NaN fails each of them.
     """
     if type(dim_a) is not int or dim_a < 1:  # a float or bool would reach numpy and the state
         raise BadDimension(f"dim_a must be an int >= 1, got {dim_a!r}")
@@ -49,15 +51,18 @@ def validate(m, dim_a: int) -> DensityMatrix:
     d = 2 * dim_a
     if m.shape != (d, d):
         raise BadDimension(f"expected a {d}x{d} matrix, got shape {m.shape}")
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > HERMITIAN_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = float(np.abs(m - m.conj().T).max())
+        m = 0.5 * (m + m.conj().T)
+        tr_err = abs(complex(np.trace(m)) - 1.0)
+    if not asym <= HERMITIAN_TOL:
         raise NotHermitian(f"max |m[i,j] - conj(m[j,i])| = {asym:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    m = 0.5 * (m + m.conj().T)
-    tr_err = abs(complex(np.trace(m)) - 1.0)
-    if tr_err > TRACE_TOL:
+    if not np.isfinite(m).all():
+        raise NotFinite("the Hermitian part overflows: entries beyond float range")
+    if not tr_err <= TRACE_TOL:
         raise TraceNotOne(f"|Tr(m) - 1| = {tr_err:.3e} exceeds {TRACE_TOL:.0e}")
     lo = float(np.linalg.eigvalsh(m).min())
-    if lo < -EIG_TOL:
+    if not lo >= -EIG_TOL:
         raise NotPositive(f"smallest eigenvalue {lo:.3e} below -{EIG_TOL:.0e}")
     m.flags.writeable = False  # m is a new array, never the caller's
     return DensityMatrix(dim_a, m)
@@ -76,9 +81,14 @@ def partial_trace_a(rho: DensityMatrix) -> np.ndarray:
 def spectrum(m) -> np.ndarray:
     """Eigenvalues of a (sub-)normalized density matrix, descending, clipped to [0, 1].
 
-    Violations beyond EIG_TOL on either side are errors, not clips.
+    Violations beyond EIG_TOL on either side are errors, not clips, and so
+    are non-finite entries and an input that is not a non-empty square matrix.
     """
     m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
+        raise BadDimension(f"expected a non-empty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotFinite("matrix has NaN or infinite entries")
     w = np.linalg.eigvalsh(m)
     lo = float(w.min())
     if lo < -EIG_TOL:

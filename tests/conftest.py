@@ -32,15 +32,18 @@ def bloch(basis):
 
 @pytest.fixture
 def minimize_calls(monkeypatch):
-    """Strengths of every basis minimization run while the test is active, those of a joint call in its order."""
+    """Strengths of every basis minimization run while the test is active, in the order their lattices are scanned.
+
+    Each minimization scans its lattice (`discord._lattice_values`) once, and a kept minimum scans none.
+    """
     strengths = []
-    inner = discord._minimize_jointly
+    inner = discord._lattice_values
 
-    def counting(rho, xs, cfg, axis=None):
-        strengths.extend(xs)
-        return inner(rho, xs, cfg, axis)
+    def counting(rho4, x, gg, dd, cfg, axis=None):
+        strengths.append(x)
+        return inner(rho4, x, gg, dd, cfg, axis)
 
-    monkeypatch.setattr(discord, "_minimize_jointly", counting)
+    monkeypatch.setattr(discord, "_lattice_values", counting)
     return strengths
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,24 @@ class TestErrorPaths:
         m[0, 0] = math.nan  # a NaN on the diagonal slips past the Hermitian, trace and eigenvalue checks
         path = state_file(tmp_path / "nan.json", m)
         assert run(capsys, "report", "--state", f"file:{path}") == (2, "")
+
+    @pytest.mark.parametrize(
+        "m, dim_a",
+        [
+            pytest.param([[0.5, 1e308], [1e308, 0.5]], 1, id="qubit"),  # eigenvalues 0.5 ± 1e308
+            pytest.param(np.eye(4) / 4 + np.diag([1e308], k=3) + np.diag([1e308], k=-3), 2, id="corners"),
+            pytest.param(np.diag([1e308, 0.25, 0.25, 0.25]), 2, id="diagonal"),
+        ],
+    )
+    def test_overflowing_state_file(self, capsys, tmp_path, m, dim_a):
+        # finite entries whose Hermitian part overflows: a typed input error, and no numpy warning on the way
+        path = state_file(tmp_path / "overflow.json", m, dim_a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["report", "--state", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert "Hermitian part overflows" in captured.err
 
     @pytest.mark.parametrize("grid", ["1", "2"])
     def test_lattice_of_poles_rejected(self, capsys, grid):

@@ -124,7 +124,7 @@ class TestMinimizer:
         # the good strength comes first, so a scan per strength would run before the bad one is seen
         rho = sd.random_state(1, dim_a=3, rank=6)
         with pytest.raises(NegativeStrength):
-            discord._minimize_jointly(rho, [0.5, -1.0], DEFAULT_CONFIG)
+            discord._minima(rho, [0.5, -1.0], DEFAULT_CONFIG)
         with pytest.raises(NegativeStrength):
             discord._minima(rho, [INFINITY, -1.0], DEFAULT_CONFIG)
         assert kernel_calls == [] and rho._minima == {}
@@ -320,7 +320,8 @@ class TestHemisphereScan:
         cases = [(x, cfg) for x in (0.1, 0.5, 2.0, INFINITY) for cfg in cfgs]
         got = [discord._minimize(rho, x, cfg) for x, cfg in cases]
         monkeypatch.setattr(discord, "_lattice_values", full_lattice)
-        assert got == [discord._minimize(rho, x, cfg) for x, cfg in cases]
+        fresh = sd.validate(rho.entries, rho.dim_a)  # rho keeps its minima, so the full scans need a new object
+        assert got == [discord._minimize(fresh, x, cfg) for x, cfg in cases]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("x", [0.5, INFINITY])
@@ -437,7 +438,8 @@ class TestAxialScan:
         for basis in decohering_bases(0):
             post = sd.project_state(rho, basis)
             for x, cfg in cases:
-                assert discord._minimize(post, x, cfg, bloch(basis)) == discord._minimize(post, x, cfg)
+                fresh = sd.validate(post.entries, post.dim_a)  # post keeps its minima: a new object scans again
+                assert discord._minimize(post, x, cfg, bloch(basis)) == discord._minimize(fresh, x, cfg)
 
 
 SCREEN_STATES = [
@@ -723,26 +725,38 @@ class TestMinimizationCount:
         rho = sd.random_state(4, dim_a=3, rank=6)
         kept = sd.minimize_conditional_entropy(rho, x, FAST_CFG)
         assert sd.minimize_conditional_entropy(rho, x, FAST_CFG) == kept
-        assert rho._minima[x, FAST_CFG] == discord._minimize(rho, x, FAST_CFG)
+        assert rho._minima[x, FAST_CFG] == discord._minimize(sd.validate(rho.entries, dim_a=3), x, FAST_CFG)
         assert (rho._minima[x, FAST_CFG].basis, rho._minima[x, FAST_CFG].value) == kept
 
-    def test_failure_is_not_kept(self, minimize_calls, monkeypatch):
-        counting = discord._minimize_jointly
-
-        def fail_once(rho, xs, cfg, axis=None):
-            monkeypatch.setattr(discord, "_minimize_jointly", counting)
-            raise NoConvergence("stuck", best_value=0.5)
-
-        monkeypatch.setattr(discord, "_minimize_jointly", fail_once)
+    @pytest.mark.parametrize("x", [0.5, INFINITY])
+    def test_minimize_keeps_its_minimum(self, x, kernel_calls, minimize_calls):
         rho = sd.random_state(2)
-        with pytest.raises(NoConvergence):
-            sd.super_discord(rho, 0.5, FAST_CFG)
+        first = discord._minimize(rho, x, FAST_CFG)
+        kernel_calls.clear()
+        assert discord._minimize(rho, x, FAST_CFG) == first
+        assert sd.super_discord(rho, x, FAST_CFG)[1] == first.basis
+        assert kernel_calls == [] and minimize_calls == [x]
+
+    def test_measured_state_keeps_its_minimum(self, kernel_calls):
+        # the minimum found along the axis is the one the hemisphere scan would find, so it is kept for both
+        post = sd.project_state(sd.random_state(2), COMPUTATIONAL)
+        first = discord._minimize(post, 0.5, FAST_CFG, bloch(COMPUTATIONAL))
+        kernel_calls.clear()
+        assert discord._minimize(post, 0.5, FAST_CFG) == first
+        assert kernel_calls == []
+
+    def test_failure_is_not_kept(self, minimize_calls, monkeypatch):
+        rho = sd.random_state(2)
+        with monkeypatch.context() as m:
+            m.setattr(discord, "MAX_REFINE_ITERS", 3)  # the refinement runs out of iterations
+            with pytest.raises(NoConvergence):
+                sd.super_discord(rho, 0.5, FAST_CFG)
         with pytest.raises(NegativeStrength):
             sd.super_discord(rho, -1.0, FAST_CFG)
         assert rho._minima == {}
         sd.super_discord(rho, 0.5, FAST_CFG)
         sd.super_discord(rho, 0.5, FAST_CFG)
-        assert minimize_calls == [-1.0, 0.5]
+        assert minimize_calls == [0.5, 0.5]  # the failed minimization, then the one that is kept
 
 
 def outcome(call):
@@ -764,7 +778,7 @@ JOINT_STATES = [
 
 
 class TestJointMinimization:
-    """`_minimize_jointly` at (INFINITY, x) against `_minimize` run alone at each strength: equal by repr."""
+    """`_minima` at (INFINITY, x) against `_minimize` alone at each strength, on new objects: equal by repr."""
 
     @pytest.mark.parametrize("grid", [(64, 64), (9, 7), (6, 6), (3, 1)], ids=lambda g: f"{g[0]}x{g[1]}")
     @pytest.mark.parametrize("make", JOINT_STATES)
@@ -773,11 +787,14 @@ class TestJointMinimization:
         strong = outcome(lambda: discord._minimize(rho, INFINITY, cfg))
         for x in (0.0, 0.1, 0.5, 2.0):
             weak = outcome(lambda: discord._minimize(rho, x, cfg))
-            found = discord._minimize_jointly(make(), [INFINITY, x], cfg)
+            joint = make()
+            # a minimum `_minima` does not keep is the one whose NoConvergence it raises; no case here fails twice
+            raised = outcome(lambda: discord._minima(joint, [INFINITY, x], cfg))
+            found = [joint._minima.get((s, cfg)) for s in (INFINITY, x)]
             for res in found:  # a point a scan left NaN never reaches a result
-                if isinstance(res, discord.MinimizationResult):
+                if res is not None:
                     assert np.isfinite([res.value, res.grid_spread, res.basis.gamma, res.basis.delta]).all(), x
-            assert [repr(res) for res in found] == [strong, weak], x
+            assert [raised if res is None else repr(res) for res in found] == [strong, weak], x
 
     @pytest.mark.parametrize("x", [0.5, 2.0])
     def test_joint_equals_alone_with_restarts(self, x, nm_runs, monkeypatch):
@@ -792,7 +809,7 @@ class TestJointMinimization:
 
         monkeypatch.setattr(discord, "_nm_minimize", counting)
         del nm_runs[:]
-        found = discord._minimize_jointly(stalling_state(), [INFINITY, x], cfg)
+        found = discord._minima(stalling_state(), [INFINITY, x], cfg)
         assert calls == [2]  # one call runs both refinements, the restarts included
         assert nm_runs.count(False) == (1 if x == 0.5 else 2)
         assert [repr(res) for res in found] == alone
@@ -816,7 +833,8 @@ class TestJointMinimization:
             sd.analyze(rho, 0.0)
         assert list(rho._minima) == [(0.0, DEFAULT_CONFIG)]
         monkeypatch.undo()
-        assert rho._minima[0.0, DEFAULT_CONFIG] == discord._minimize(rho, 0.0, DEFAULT_CONFIG)
+        fresh = sd.validate(rho.entries, dim_a=2)
+        assert rho._minima[0.0, DEFAULT_CONFIG] == discord._minimize(fresh, 0.0, DEFAULT_CONFIG)
 
 
 class TestJointRefinementCalls:
@@ -840,9 +858,13 @@ class TestJointRefinementCalls:
     @pytest.mark.parametrize("seed, dim_a", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
     def test_one_call_per_round(self, seed, dim_a, x, monkeypatch):
         rho = sd.random_state(seed, dim_a=dim_a, rank=4)
-        strong = self.refinement_calls(monkeypatch, lambda: discord._minimize(rho, INFINITY, FAST_CFG))
-        weak = self.refinement_calls(monkeypatch, lambda: discord._minimize(rho, x, FAST_CFG))
-        joint = self.refinement_calls(monkeypatch, lambda: sd.analyze(rho, x, FAST_CFG))
+
+        def fresh():  # a state object keeps its minima, so each minimization gets a new one
+            return sd.validate(rho.entries, dim_a)
+
+        strong = self.refinement_calls(monkeypatch, lambda: discord._minimize(fresh(), INFINITY, FAST_CFG))
+        weak = self.refinement_calls(monkeypatch, lambda: discord._minimize(fresh(), x, FAST_CFG))
+        joint = self.refinement_calls(monkeypatch, lambda: sd.analyze(fresh(), x, FAST_CFG))
         assert strong[0] > 0 and weak[0] > 0  # both lattices refine
         assert joint == (max(strong[0], weak[0]), strong[1] + weak[1])
 
@@ -1156,7 +1178,7 @@ class TestKernelInvariants:
             return vals
 
         monkeypatch.setattr(discord, "_batched_weak_ce", recording)
-        discord._minimize_jointly(rho, [INFINITY, x], OptimizerConfig(8, 8))  # both refinements share calls
+        discord._minima(rho, [INFINITY, x], OptimizerConfig(8, 8))  # both refinements share calls
         monkeypatch.undo()
         assert len(points) > 20
         for g, d, x, v in points:

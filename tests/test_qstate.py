@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,28 @@ class TestValidate:
     def test_bad_dimensions(self):
         with pytest.raises(BadDimension):
             sd.validate(np.eye(6) / 6, dim_a=2)
+
+    @pytest.mark.parametrize(
+        "m, dim_a",
+        [
+            pytest.param([[0.5, 1e308], [1e308, 0.5]], 1, id="qubit-off-diagonal"),  # eigenvalues 0.5 ± 1e308
+            pytest.param(np.eye(4) / 4 + np.diag([1e308], k=3) + np.diag([1e308], k=-3), 2, id="corners"),
+            pytest.param(np.diag([1e308, 0.25, 0.25, 0.25]), 2, id="diagonal"),
+        ],
+    )
+    def test_overflowing_hermitian_part_rejected(self, m, dim_a):
+        # finite entries whose Hermitian part overflows to inf+nanj, which the eigenvalue check would not see
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite, match="Hermitian part overflows"):
+                sd.validate(m, dim_a)
+
+    def test_overflowing_trace_rejected(self):
+        # each entry's Hermitian part is finite, their sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceNotOne, match="= inf exceeds"):
+                sd.validate(np.diag([8e307] * 4), dim_a=2)
 
     def test_empty_matrix_with_zero_dim_a(self):
         # the zero-size max would raise numpy's own ValueError
@@ -150,6 +173,18 @@ class TestEntropy:
     def test_spectrum_rejects_eigenvalue_above_one(self):
         with pytest.raises(DomainError, match="exceeds 1"):
             spectrum(np.diag([1.0 + 1e-6, 0.0]))
+
+    @pytest.mark.parametrize(
+        "m", [np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, 0.0])], ids=["nan", "nan-1", "inf-0"]
+    )
+    def test_non_finite_matrix_rejected(self, m):
+        with pytest.raises(NotFinite):
+            sd.von_neumann_entropy(m)
+
+    @pytest.mark.parametrize("shape", [(2,), (0, 0), (2, 3), (1, 2, 2)], ids=str)
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(BadDimension, match="non-empty square matrix"):
+            sd.von_neumann_entropy(np.zeros(shape))
 
     def test_zero_spectrum_entropy_is_zero(self):
         # a zero-weight block has no nonzero eigenvalue to sum over
