@@ -9,10 +9,11 @@ test (`src` in a checkout). The digest has two sections:
   `superdiscord.cli.main`, and the script prints its argv, exit code and stdout;
 - the minima: for each state, lattice and strength, the `repr` of
   `discord._minimize`, `discord.analyze` and `discord.verify_resurrection`, of
-  `discord._minimize` on the state the check measures, with the axis the check
-  scans it along, so that its `grid_spread` shows, and of `discord.analyze` on
-  a fresh copy of the state that keeps no minima yet, or of the exception each
-  raises. A `repr` shows every float to the last bit,
+  `discord._minimize` on the state the check measures, so that its
+  `grid_spread` shows, of the public `discord.super_discord` on a new copy of
+  that state, and of `discord.analyze` on a fresh copy of the state that keeps
+  no minima yet, or of the exception each raises. A `repr` shows every float
+  to the last bit,
   where the CLI's stdout shows 12 significant digits. The Ginibre states at
   dim_a = 5 and 8 also take a 64x64 lattice, whose scan the kernel evaluates
   in more than one block.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -119,12 +119,10 @@ def record(call) -> str:
         return repr(exc)
 
 
-def measured_minimum(discord, measure, rho, x, cfg):
-    """`discord._minimize` on the state `verify_resurrection` measures, along the axis it passes."""
+def measured_state(discord, measure, rho, x, cfg):
+    """The state `verify_resurrection` measures, a new object on every call."""
     basis = discord.verify_resurrection(rho, x, cfg).strong_basis  # raises where the check does
-    post = measure.project_state(rho, basis)
-    g, d = basis.gamma, basis.delta
-    return discord._minimize(post, x, cfg, (math.sin(g) * math.cos(d), math.sin(g) * math.sin(d), math.cos(g)))
+    return measure.project_state(rho, basis)
 
 
 def minima_section(discord, families, measure, qstate) -> None:
@@ -136,8 +134,10 @@ def minima_section(discord, families, measure, qstate) -> None:
                 sys.stdout.write(f"# {name} grid={grid[0]}x{grid[1]} x={x}\n")
                 for fn in (discord._minimize, discord.analyze, discord.verify_resurrection):
                     sys.stdout.write(f"{fn.__name__}: {record(lambda: fn(rho, x, cfg))}\n")
-                post = record(lambda: measured_minimum(discord, measure, rho, x, cfg))
+                post = record(lambda: discord._minimize(measured_state(discord, measure, rho, x, cfg), x, cfg))
                 sys.stdout.write(f"_minimize, measured state: {post}\n")
+                public = record(lambda: discord.super_discord(measured_state(discord, measure, rho, x, cfg), x, cfg))
+                sys.stdout.write(f"super_discord, measured state: {public}\n")
                 # `rho` keeps its minima across strengths, so after x = 0 its strong minimum is
                 # never computed again; a fresh object makes analyze find both minima at each x
                 fresh = qstate.validate(rho.entries, rho.dim_a)

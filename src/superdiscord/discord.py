@@ -9,12 +9,14 @@ evaluated. The scan contract: its nanmin, nanmax and nanargmin and its first
 point within FLAT_TOL of the min equal the full scan's min, max, argmin and
 first tie bit for bit, and every value it holds is the full scan's with ==.
 One scan, `_lattice_values`, keeps it for every state: an estimate within
-1e-8 of the kernel at every dim_a and lattice, from A's Bloch form
-(`_bloch_screen`), picks the points near its min or max, and the kernel
-evaluates the picks in one batch. The estimate covers one hemisphere, or,
-for the resurrection check's measured state ρ̃, decohered along n_s, whose
-landscape depends on c = |m·n_s| alone and never rises with c, only the
-points from both ends of c that can be its min, a tie or its max. One kernel,
+1e-8 of the kernel at every dim_a and lattice, from A's Bloch table
+(`_bloch_screen`), built once per scan, picks the points near its min or
+max, and the kernel evaluates the picks in one batch. The table's R decides
+what the estimate covers: one point when t·R is zero; when the R_k lie along
+one axis u, as for the resurrection check's measured state ρ̃, whose
+landscape depends on c = |m·u| alone and never rises with c, only the points
+from both ends of c that can be its min, a tie or its max; one hemisphere
+for every other state. One kernel,
 `_batched_weak_ce`, gives every reported conditional entropy, bit for bit:
 the lattice, the refinement's objective and `weak_conditional_entropy`
 (strong at x = INFINITY). It takes a strength in one form, the operator
@@ -72,9 +74,10 @@ class OptimizerConfig:
     needed for a point off the poles; grid_delta points span delta in [0, 2 pi);
     the lattice holds at most MAX_LATTICE_POINTS. The scan estimates every
     point from A's Bloch form, once per antipodal pair when an even
-    grid_delta puts every point's antipode on the lattice (a measured state's
-    scan only the ends of its axis), and evaluates only the points near the
-    estimate's min or max, at any dim_a and grid_delta.
+    grid_delta puts every point's antipode on the lattice (only the ends of
+    the axis for a state whose R_k lie along one axis, the scan reads which
+    off the state), and evaluates only the points near the estimate's min or
+    max, at any dim_a and grid_delta.
     The lattice min, max and ties are the full scan's.
     """
 
@@ -198,27 +201,23 @@ def _entropy_sum(p: np.ndarray, lam: np.ndarray) -> np.ndarray:
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _bloch_screen(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) -> np.ndarray:
-    """The weak conditional entropy of a flat batch of bases from A's Bloch form: the kernel's values within rounding.
+def _bloch_screen(table: np.ndarray, gg: np.ndarray, dd: np.ndarray) -> np.ndarray:
+    """The weak conditional entropy of a flat batch of bases from A's Bloch table: the kernel's values within rounding.
 
     Along n = (sin γ cos δ, sin γ sin δ, cos γ), A's unnormalized conditional
     states are M(±x) = (ρ_A ∓ t n·R)/2, with R_k = Tr_B[(I⊗σ_k)ρ] and
     t = tanh x, 1 at x = INFINITY (cf. Luo, PRA 77, 042303 (2008); Girolami &
-    Adesso, PRA 83, 052108 (2011)). A table of ρ_A/2 and t R_k/2, (4, dim_a²),
-    is built once; in each block of `_blockwise` the rows (1, ±n) times it,
-    one matmul, give both outcomes' M, whose order the sum cannot show. Their
-    spectra are closed form at dim_a = 2, p/2 ± |((M_00 − M_11)/2, M_01)| with
-    p = Tr M, and eigvalsh otherwise; `_entropy_sum` makes the values. When
-    t R is exactly zero (x = 0, or R = 0), every point has one M, and one
-    point is evaluated for all. The largest gap to `_batched_weak_ce` was
+    Adesso, PRA 83, 052108 (2011)). table is ρ_A/2 and t R_k/2 as real
+    (4, 2 dim_a²) rows, real and imaginary parts side by side, which
+    `_lattice_values` builds once per scan; in each block of `_blockwise` the
+    rows (1, ±n) times it, one real matmul, give both outcomes' M, whose order
+    the sum cannot show. Their spectra are closed form at dim_a = 2,
+    p/2 ± |((M_00 − M_11)/2, M_01)| with p = Tr M, and eigvalsh otherwise;
+    `_entropy_sum` makes the values. The largest gap to `_batched_weak_ce` was
     1.9e-14, on 64×64 lattices of Ginibre states at dim_a 1 to 12, ranks 1, 2
     and full, x ∈ {0, 0.1, 0.5, 2, 8, INFINITY}.
     """
-    dim_a = rho4.shape[0]
-    table = np.empty((4, dim_a, dim_a), complex)
-    table[0] = np.einsum("ibjb->ij", rho4) / 2
-    table[1:] = np.einsum("ibjc,kcb->kij", rho4, PAULI) * (math.tanh(x) / 2)
-    table = table.reshape(4, dim_a * dim_a).view(float)  # real and imaginary parts side by side: a real matmul
+    dim_a = math.isqrt(table.shape[1] // 2)
 
     def block(s, e):
         g, d, sin_g = gg[s:e], dd[s:e], np.sin(gg[s:e])
@@ -232,51 +231,71 @@ def _bloch_screen(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray) ->
         half_gap = np.sqrt(((m[..., 0, 0].real - m[..., 1, 1].real) / 2) ** 2 + np.abs(m[..., 0, 1]) ** 2)
         return _entropy_sum(p, np.stack([p / 2 - half_gap, p / 2 + half_gap], axis=-1))
 
-    n = len(gg) if table[1:].any() else 1  # t R = 0: every point has the first one's value
-    return np.broadcast_to(_blockwise(dim_a, n, block), gg.shape)
+    return _blockwise(dim_a, len(gg), block)
 
 
-def _lattice_values(
-    rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig, axis=None
-) -> np.ndarray:
+def _lattice_values(rho4: np.ndarray, x: float, gg: np.ndarray, dd: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     """`_batched_weak_ce` on the row-major lattice where it can decide the summary, NaN elsewhere.
 
     The estimate `_bloch_screen`, within ε of the kernel at every point, 2ε
-    far below the 1e-8 margins, picks the points; `axis` chooses only which
-    points it covers. With no axis, for even grid_delta it covers the rows
-    k < ceil(G/2), and each lower point takes its antipode's value (n and -n
-    are one measurement with its outcomes swapped, and row G-1-k, column
-    j + D/2 mod D is the antipode of row k, column j); an odd grid_delta has
-    no antipodes on the lattice, so it covers every point. With an axis, the
-    Bloch vector of the basis a measured state was decohered in, the state's
-    R_k = Tr_B[(I⊗σ_k)ρ] is (n·R)n, so A's conditional states along m are
-    (ρ_A ∓ t(m·n)(n·R))/2 and S_w(m) is an even, concave function of m·n (cf.
-    Hamieh, Kobes & Zaraket, PRA 70, 052325 (2004)): it never increases with
-    c = |m·n|. The estimate then walks the lattice from both ends of c at
-    once, in chunks of AXIAL_CHUNK points doubled each round, one
-    `_bloch_screen` call a round: largest c first until a chunk's last point
-    lies more than FLAT_TOL + 1e-8 above the running min, so no point left
-    can be the min or a FLAT_TOL tie, and smallest c first until a chunk's
-    last point lies more than 1e-8 below the running max, so no point left
-    can reach the max. A flat landscape (n·R = 0, as when B is maximally mixed
-    and uncorrelated) never ends the walk, so every point is covered.
+    far below the 1e-8 margins, picks the points. Its table of ρ_A/2 and
+    t R_k/2 is built once per scan, and the three rows t R_k/2 decide which
+    points it covers:
+
+    - flat: t R is exactly zero (x = 0, or R = 0 as when B is maximally mixed
+      and uncorrelated), so every point has one M(±x), and one estimate
+      serves them all;
+    - axial: the rows have rank one, their second singular value at most
+      1e-13 of the first, so R_k = u_k V along the first left singular vector
+      u. A's conditional states along m are then (ρ_A ∓ t(m·u)V)/2, and S_w(m)
+      is an even, concave function of m·u (cf. Hamieh, Kobes & Zaraket, PRA
+      70, 052325 (2004)): it never increases with c = |m·u|. Such states are
+      the resurrection check's measured state ρ̃, decohered along n_s, whose
+      R_k is (n_s·R)n_s, classically correlated states and every state at
+      dim_a = 1. The estimate walks the lattice from both ends of c at
+      once, in chunks of AXIAL_CHUNK points doubled each round, one
+      `_bloch_screen` call a round: largest c first until a chunk's last
+      point lies more than FLAT_TOL + 1e-8 above the running min, so no
+      point left can be the min or a FLAT_TOL tie, and smallest c first
+      until a chunk's last point lies more than 1e-8 below the running max,
+      so no point left can reach the max. A flat landscape never ends the
+      walk, so every point is covered;
+    - hemisphere: every other state. For even grid_delta the estimate covers
+      the rows k < ceil(G/2), and each lower point takes its antipode's value
+      (n and -n are one measurement with its outcomes swapped, and row
+      G-1-k, column j + D/2 mod D is the antipode of row k, column j); an odd
+      grid_delta has no antipodes on the lattice, so it covers every point.
+
+    Why 1e-13: the rows' Frobenius norm is at most 1/2, so the part of m·R
+    perpendicular to u moves each conditional state by at most about
+    σ₂ ≤ 1e-13, and each eigenvalue's entropy term by at most about
+    δ log2(1/δ) = 4.3e-12 at δ = 1e-13. Over the 2 dim_a eigenvalues that is
+    under 1e-9 even at dim_a = 64, a tenth of the walk's 1e-8 stop and pick
+    margins. Measured states sit about 250 times below the threshold.
 
     The points within FLAT_TOL + 1e-8 of the estimate's min or 1e-8 of its max
     hold the kernel's min, ties and max. They go to the kernel in one batch,
     never of one row: it holds the estimate's argmin and argmax, or every
     point. Every other point stays NaN.
     """
-    coef = measure.weak_coefficients(x)  # checks x before the estimate takes tanh x
-    n_gamma, n_delta = cfg.grid_gamma, cfg.grid_delta
-    if axis is None:
+    coef = measure.weak_coefficients(x)  # checks x before the table takes tanh x
+    dim_a, n_gamma, n_delta = rho4.shape[0], cfg.grid_gamma, cfg.grid_delta
+    table = np.empty((4, dim_a, dim_a), complex)
+    table[0] = np.einsum("ibjb->ij", rho4) / 2
+    table[1:] = np.einsum("ibjc,kcb->kij", rho4, PAULI) * (math.tanh(x) / 2)
+    table = table.reshape(4, dim_a * dim_a).view(float)  # real and imaginary parts side by side: a real matmul
+    u, sv, _ = np.linalg.svd(table[1:], full_matrices=False)
+    if not table[1:].any():  # flat: every point has the first one's value
+        est = np.broadcast_to(_bloch_screen(table, gg[:1], dd[:1]), gg.shape)
+    elif sv[1] > 1e-13 * sv[0]:  # hemisphere
         n_top = len(gg) if n_delta % 2 else (n_gamma + 1) // 2 * n_delta
-        top = _bloch_screen(rho4, x, gg[:n_top], dd[:n_top])
+        top = _bloch_screen(table, gg[:n_top], dd[:n_top])
         row, col = np.divmod(np.arange(n_top, len(gg)), n_delta)
         est = np.concatenate([top, top[(n_gamma - 1 - row) * n_delta + (col + n_delta // 2) % n_delta]])
-    else:
+    else:  # axial, along u[:, 0]
         gammas, deltas = gg[::n_delta], dd[:n_delta]
-        c = np.multiply.outer(np.sin(gammas), axis[0] * np.cos(deltas) + axis[1] * np.sin(deltas))
-        c += np.cos(gammas)[:, None] * axis[2]
+        c = np.multiply.outer(np.sin(gammas), u[0, 0] * np.cos(deltas) + u[1, 0] * np.sin(deltas))
+        c += np.cos(gammas)[:, None] * u[2, 0]
         order = np.argsort(np.abs(c, out=c).ravel())  # c ascending; any order of ties will do
         est = np.full(len(gg), np.nan)
         lo, hi, size = 0, len(order), AXIAL_CHUNK  # order[lo:hi] is not estimated yet
@@ -285,7 +304,7 @@ def _lattice_values(
             k_high = min(size, hi - lo) if high else 0
             k_low = min(size, hi - lo - k_high) if low else 0
             idx = np.concatenate([order[hi - k_high : hi], order[lo : lo + k_low]])
-            est[idx] = _bloch_screen(rho4, x, gg[idx], dd[idx])
+            est[idx] = _bloch_screen(table, gg[idx], dd[idx])
             lo, hi, size = lo + k_low, hi - k_high, 2 * size
             high = high and est[order[hi]] <= np.nanmin(est) + FLAT_TOL + 1e-8
             low = low and est[order[lo - 1]] >= np.nanmax(est) - 1e-8
@@ -430,12 +449,13 @@ class MinimizationResult:
     grid_spread: float
 
 
+# axis is ignored: the scan reads its walk off the state, and older digest scripts still pass it
 def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> MinimizationResult:
     """The basis minimizing S_w(rho|.) at x: `_minima` at one strength, kept on rho as it keeps every minimum."""
-    return _minima(rho, [x], cfg, axis)[0]
+    return _minima(rho, [x], cfg)[0]
 
 
-def _minima(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -> list[MinimizationResult]:
+def _minima(rho: DensityMatrix, xs, cfg: OptimizerConfig) -> list[MinimizationResult]:
     """The basis minimizing S_w(rho|.) at each strength of xs, found once per state object and kept on it.
 
     Every strength is checked (`measure.weak_coefficients`) before any lookup
@@ -453,10 +473,9 @@ def _minima(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -> list[Min
     restart included, not the sum over them. Every minimum found is kept;
     then the first NoConvergence, in the order of xs, is raised.
 
-    `axis`, the Bloch vector of the basis rho was decohered in, makes the
-    lattice estimate walk the measured state's axis in place of the
-    hemisphere (`_lattice_values`). Both walks keep the scan contract, so a
-    minimum is the same with or without it, and its key leaves the axis out.
+    Each scan chooses its own walk from rho's R (`_lattice_values`): flat,
+    axial or hemisphere. Every walk keeps the scan contract, so a minimum
+    does not depend on which one ran.
     """
     coef_of = {x: measure.weak_coefficients(x) for x in xs}  # a bad strength raises before any lookup or scan
     missing = [x for x in coef_of if (x, cfg) not in rho._minima]
@@ -469,7 +488,7 @@ def _minima(rho: DensityMatrix, xs, cfg: OptimizerConfig, axis=None) -> list[Min
     gg, dd = gg.ravel(), dd.ravel()
     scans = []
     for x in missing:
-        vals = _lattice_values(rho4, x, gg, dd, cfg, axis)
+        vals = _lattice_values(rho4, x, gg, dd, cfg)
         vmin = float(np.nanmin(vals))
         # ties broken toward smallest gamma, then delta (row-major, gamma outer); NaN is no tie
         scans.append((vals, vmin, float(np.nanmax(vals)) - vmin, int(np.flatnonzero(vals <= vmin + FLAT_TOL)[0])))
@@ -605,10 +624,11 @@ def verify_resurrection(
     `report` is `analyze(rho, x, cfg)`; after `analyze` on the same state
     object the check adds one minimization, the measured state's. The same
     concavity makes S_w(ρ̃|m) a function of c = |m·n_s| that never increases
-    with c, so that minimization's lattice scan is given n_s's Bloch vector:
-    its estimate walks the lattice from both ends of c, and the kernel
-    evaluates, in one batch, only the points that can be its min, FLAT_TOL
-    ties or max (`_lattice_values`), leaving the rest NaN. Of the default 4096
+    with c. ρ̃'s R_k lie along n_s, so its lattice scan reads the axis off
+    the state: its estimate walks the lattice from both ends of c, and the
+    kernel evaluates, in one batch, only the points that can be its min,
+    FLAT_TOL ties or max (`_lattice_values`), leaving the rest NaN. The
+    public `super_discord` on ρ̃ takes the same walk. Of the default 4096
     points that is a few dozen at most for a generic n_s (4 to 28 seen), 132
     to 188 on the equator and 256 on a pole (a Werner state's ρ̃), and all of
     them when the landscape is flat (the maximally mixed state). The
@@ -624,9 +644,7 @@ def verify_resurrection(
     # both lattices flat: strong.basis is the first lattice point (0, 0), the computational basis
     proj_basis = weak.basis if ambiguous and weak.grid_spread >= FLAT_TOL else strong.basis
     post = measure.project_state(rho, proj_basis)
-    g, d = proj_basis.gamma, proj_basis.delta
-    axis = (math.sin(g) * math.cos(d), math.sin(g) * math.sin(d), math.cos(g))  # proj_basis's Bloch vector
-    post_weak = _minimize(post, x, cfg, axis)
+    post_weak = _minimize(post, x, cfg)
     post_dw = post_weak.value - quantum_conditional_entropy(post)
     return ResurrectionRecord(
         delta=delta,

@@ -6,6 +6,7 @@ all entropies are in bits (log base 2).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,29 @@ class DensityMatrix:
         return self.entries.reshape(self.dim_a, 2, self.dim_a, 2)
 
 
+def _complex_array(m) -> np.ndarray:
+    """m as a complex array, converted entry for entry as numpy converts it, once its entries are known to be numbers.
+
+    numpy reads a digit string or a bool as a number, and raises its own
+    errors on the rest; here a bool, str or bytes entry, or any entry that is
+    not a number, raises DomainError, a ragged nesting BadDimension, and an int
+    beyond float range NotFinite. A numeric array passes unchecked.
+    """
+    try:
+        a = np.asarray(m)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise BadDimension("entries do not nest as a rectangular array") from None
+    if not (isinstance(m, np.ndarray) and a.dtype.kind in "iufc"):
+        # a sequence's bool beside ints reads as an int, so each entry is looked at as it was given
+        for v in np.asarray(m, dtype=object).flat:
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Number):
+                raise DomainError(f"entries must be numbers, got {type(v).__name__}")
+    try:
+        return np.asarray(m, dtype=complex)
+    except OverflowError:  # no repr: a str of over 4300 digits raises ValueError
+        raise NotFinite("an int entry lies beyond float range") from None
+
+
 def validate(m, dim_a: int) -> DensityMatrix:
     """Check a raw 2·dim_a × 2·dim_a matrix against the density-matrix invariants.
 
@@ -41,11 +65,12 @@ def validate(m, dim_a: int) -> DensityMatrix:
     tolerance), so tiny floating-point asymmetry is repaired, large asymmetry
     rejected. Finite entries near float's limit can overflow the Hermitian
     part or the trace; the checks read the overflow, never a numpy warning,
-    and a NaN fails each of them.
+    and a NaN fails each of them. Entries that are not numbers fail as in
+    `_complex_array`.
     """
     if type(dim_a) is not int or dim_a < 1:  # a float or bool would reach numpy and the state
         raise BadDimension(f"dim_a must be an int >= 1, got {dim_a!r}")
-    m = np.asarray(m, dtype=complex)
+    m = _complex_array(m)
     if not np.isfinite(m).all():
         raise NotFinite("matrix has NaN or infinite entries")
     d = 2 * dim_a
@@ -82,9 +107,10 @@ def spectrum(m) -> np.ndarray:
     """Eigenvalues of a (sub-)normalized density matrix, descending, clipped to [0, 1].
 
     Violations beyond EIG_TOL on either side are errors, not clips, and so
-    are non-finite entries and an input that is not a non-empty square matrix.
+    are non-finite entries, an input that is not a non-empty square matrix
+    and entries that are not numbers (`_complex_array`).
     """
-    m = np.asarray(m, dtype=complex)
+    m = _complex_array(m)
     if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
         raise BadDimension(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -39,9 +39,9 @@ def minimize_calls(monkeypatch):
     strengths = []
     inner = discord._lattice_values
 
-    def counting(rho4, x, gg, dd, cfg, axis=None):
+    def counting(rho4, x, gg, dd, cfg):
         strengths.append(x)
-        return inner(rho4, x, gg, dd, cfg, axis)
+        return inner(rho4, x, gg, dd, cfg)
 
     monkeypatch.setattr(discord, "_lattice_values", counting)
     return strengths
@@ -58,4 +58,18 @@ def kernel_calls(monkeypatch):
         return inner(rho4, coef, gammas, deltas)
 
     monkeypatch.setattr(discord, "_batched_weak_ce", counting)
+    return sizes
+
+
+@pytest.fixture
+def screen_calls(monkeypatch):
+    """Point counts of every lattice-estimate call (`discord._bloch_screen`) made while the test is active."""
+    sizes = []
+    inner = discord._bloch_screen
+
+    def counting(table, gg, dd):
+        sizes.append(len(gg))
+        return inner(table, gg, dd)
+
+    monkeypatch.setattr(discord, "_bloch_screen", counting)
     return sizes

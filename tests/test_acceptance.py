@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import superdiscord as sd
-from superdiscord import cli
+from superdiscord import cli, discord
 from superdiscord.measure import INFINITY
 
 from oracles import COMPUTATIONAL, binary_entropy, oracle_pure_delta, oracle_werner
@@ -177,6 +177,22 @@ def test_criterion_4_resurrection_at_scale(ensemble):
         f"gap<=1e-3 rate={100 * rate:.1f}% violations={violations} "
         f"ensemble_time={elapsed:.0f}s",
     )
+
+
+def test_measured_states_walk_their_axis(ensemble, screen_calls):
+    """Each measured state of criterion 4 has its R_k along the strong basis, so its lattice scan walks that
+    axis: its estimate covers a few rounds of the walk, never the 2048 points of a hemisphere."""
+    entries, _ = ensemble
+    gg, dd = np.meshgrid(np.linspace(0, math.pi, 64), np.linspace(0, 2 * math.pi, 64, endpoint=False), indexing="ij")
+    worst = 0
+    for e in entries:
+        rho = sd.random_state(e.seed, dim_a=2, rank=4)
+        for x, rec in e.records.items():
+            screen_calls.clear()
+            post4 = sd.project_state(rho, rec.strong_basis).as_tensor()
+            discord._lattice_values(post4, x, gg.ravel(), dd.ravel(), sd.OptimizerConfig())
+            worst = max(worst, sum(screen_calls))
+    assert worst <= 256, worst  # 64 seen: two rounds of the walk
 
 
 def test_criterion_5_sandwich_and_limits(ensemble):

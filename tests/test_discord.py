@@ -240,7 +240,7 @@ def nm_runs(monkeypatch):
     return ended
 
 
-def full_lattice(rho4, x, gg, dd, cfg, axis=None):
+def full_lattice(rho4, x, gg, dd, cfg):
     return discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
 
 
@@ -362,13 +362,28 @@ def decohering_bases(seed):
 
 
 AXIAL_GRIDS = [(64, 64), (9, 7), (6, 6), (3, 1)]
+# unmeasured states whose R_k lie along one axis: classically correlated, product, and every state at dim_a = 1
+RANK_ONE_R_STATES = [
+    pytest.param(lambda: sd.validate(CLASSICAL, dim_a=2), id="classical"),
+    pytest.param(lambda: sd.validate(CLASSICAL_3, dim_a=3), id="classical-3"),
+    pytest.param(lambda: sd.pure_schmidt(0.0), id="product"),
+    *[pytest.param(lambda r=rank: sd.random_state(r, dim_a=1, rank=r), id=f"ginibre-dim1-rank{rank}")
+      for rank in (1, 2)],
+]
+
+
+def bloch_table(rho4, x):
+    """`_bloch_screen`'s table: ρ_A/2 and tanh(x) R_k/2, R_k = Tr_B[(I⊗σ_k)ρ], as real (4, 2 dim_a²) rows."""
+    scales = [0.5, *[math.tanh(x) / 2] * 3]
+    rows = [np.einsum("ibjc,cb->ij", rho4, s) * f for s, f in zip([np.eye(2), *discord.PAULI], scales)]
+    return np.stack(rows).reshape(4, -1).view(float)
 
 
 class TestAxialScan:
-    """`_lattice_values` with an axis, its estimate walking a measured state's axis, against the full
-    `_batched_weak_ce` lattice: equal with ==."""
+    """`_lattice_values` on states whose R_k lie along one axis, a measured state's among them, its estimate
+    walking that axis, against the full `_batched_weak_ce` lattice: equal with ==."""
 
-    # at x = 0 the estimate's t·R is zero, so each round estimates one point for all
+    # at x = 0 the estimate's t·R is zero, so the scan is flat: one point estimated for all
     @pytest.mark.parametrize("x", [0.0, 0.1, 0.5, 2.0, INFINITY])
     @pytest.mark.parametrize("dim_a", range(1, 9))
     def test_summary_matches_full_lattice(self, dim_a, x):
@@ -377,7 +392,7 @@ class TestAxialScan:
             rho4 = sd.project_state(rho, basis).as_tensor()
             for n_gamma, n_delta in AXIAL_GRIDS:
                 gg, dd = lattice(n_gamma, n_delta)
-                got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(basis))
+                got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta))
                 want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
                 assert_scan_contract(got, want, (basis, n_gamma, n_delta))
 
@@ -388,7 +403,7 @@ class TestAxialScan:
         rho4 = sd.project_state(sd.werner(z), COMPUTATIONAL).as_tensor()
         for n_gamma, n_delta in AXIAL_GRIDS:
             gg, dd = lattice(n_gamma, n_delta)
-            got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta), bloch(COMPUTATIONAL))
+            got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta))
             want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
             assert_scan_contract(got, want, (n_gamma, n_delta))
 
@@ -400,11 +415,11 @@ class TestAxialScan:
         for basis in decohering_bases(dim_a):
             kernel_calls.clear()
             rho4 = sd.project_state(rho, basis).as_tensor()
-            discord._lattice_values(rho4, x, *lattice(64, 64), DEFAULT_CONFIG, bloch(basis))
+            discord._lattice_values(rho4, x, *lattice(64, 64), DEFAULT_CONFIG)
             assert len(kernel_calls) == 1 and 2 <= kernel_calls[0] <= 256, basis
         kernel_calls.clear()
         rho4 = sd.project_state(sd.werner(0.0), COMPUTATIONAL).as_tensor()  # a flat landscape: every point
-        discord._lattice_values(rho4, x, *lattice(64, 64), DEFAULT_CONFIG, bloch(COMPUTATIONAL))
+        discord._lattice_values(rho4, x, *lattice(64, 64), DEFAULT_CONFIG)
         assert kernel_calls == [4096]
 
     @staticmethod
@@ -433,13 +448,84 @@ class TestAxialScan:
             pytest.param(sd.werner(0.6), id="werner"),
         ],
     )
-    def test_minimize_matches_hemisphere_scan(self, rho):
+    def test_minimize_matches_hemisphere_scan(self, rho, monkeypatch):
         cases = [(x, cfg) for x in (0.1, 2.0) for cfg in (DEFAULT_CONFIG, OptimizerConfig(9, 7))]
         for basis in decohering_bases(0):
             post = sd.project_state(rho, basis)
-            for x, cfg in cases:
-                fresh = sd.validate(post.entries, post.dim_a)  # post keeps its minima: a new object scans again
-                assert discord._minimize(post, x, cfg, bloch(basis)) == discord._minimize(fresh, x, cfg)
+            got = [discord._minimize(post, x, cfg) for x, cfg in cases]
+            fresh = sd.validate(post.entries, post.dim_a)  # post keeps its minima: a new object scans again
+            with monkeypatch.context() as m:
+                m.setattr(discord, "_lattice_values", full_lattice)
+                assert got == [discord._minimize(fresh, x, cfg) for x, cfg in cases], basis
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 2.0, INFINITY])
+    @pytest.mark.parametrize("make", RANK_ONE_R_STATES)
+    def test_unmeasured_state_walks_its_axis(self, make, x, screen_calls):
+        rho4 = make().as_tensor()
+        for n_gamma, n_delta in AXIAL_GRIDS:
+            screen_calls.clear()
+            gg, dd = lattice(n_gamma, n_delta)
+            got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta))
+            want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
+            assert_scan_contract(got, want, (n_gamma, n_delta))
+            if (n_gamma, n_delta) == (64, 64):  # the walk's first round is a chunk from each end, not a hemisphere
+                assert screen_calls[0] == 2 * discord.AXIAL_CHUNK
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_walk_threshold(self, factor, screen_calls):
+        # a measured state plus an R component perpendicular to its axis, with the rows' second singular value at
+        # factor x 1e-13 of the first: below the threshold the estimate walks the axis, above it the hemisphere
+        rng = np.random.default_rng(7)
+        basis = decohering_bases(3)[0]
+        n = np.array(bloch(basis))
+        e = np.cross(n, (0.0, 0.0, 1.0))
+        sigma_e = np.einsum("k,kij->ij", e / np.linalg.norm(e), discord.PAULI)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        kick = np.kron(g + g.conj().T, sigma_e)  # traceless and Hermitian: it moves R_e alone
+        post = sd.project_state(sd.random_state(3, dim_a=3, rank=6), basis).entries
+
+        def ratio(eps):
+            sv = np.linalg.svd(bloch_table(sd.validate(post + eps * kick, 3).as_tensor(), 0.5)[1:], compute_uv=False)
+            return sv[1] / sv[0]
+
+        eps = 1e-12 * factor * 1e-13 / ratio(1e-12)
+        assert ratio(eps) == pytest.approx(factor * 1e-13, rel=0.05)
+        rho4 = sd.validate(post + eps * kick, 3).as_tensor()
+        for x in (0.5, INFINITY):
+            for n_gamma, n_delta in AXIAL_GRIDS:
+                screen_calls.clear()
+                gg, dd = lattice(n_gamma, n_delta)
+                got = discord._lattice_values(rho4, x, gg, dd, OptimizerConfig(n_gamma, n_delta))
+                want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
+                assert_scan_contract(got, want, (x, n_gamma, n_delta))
+                if (n_gamma, n_delta) == (64, 64):
+                    assert screen_calls[0] == (2 * discord.AXIAL_CHUNK if factor < 1 else 2048), x
+
+    @pytest.mark.parametrize("dim_a", [2, 3, 8])
+    def test_ginibre_state_scans_the_hemisphere(self, dim_a, screen_calls):
+        # R_k of a Ginibre state span more than one axis at every rank, so no estimate walks
+        for rank in range(1, 2 * dim_a + 1):
+            screen_calls.clear()
+            rho4 = sd.random_state(rank, dim_a=dim_a, rank=rank).as_tensor()
+            discord._lattice_values(rho4, 0.5, *lattice(64, 64), DEFAULT_CONFIG)
+            assert screen_calls == [2048], rank
+
+    def test_flat_measured_state_estimates_once(self, screen_calls):
+        # the maximally mixed state's measured state has R = 0: one estimate serves every point
+        rho = sd.werner(0.0)
+        sd.analyze(rho, 0.5)
+        screen_calls.clear()
+        sd.verify_resurrection(rho, 0.5)
+        assert screen_calls == [1]
+
+    def test_public_super_discord_walks_the_axis(self, screen_calls):
+        # the measured state reached without the check walks its axis too, and gets the check's value
+        rho = sd.random_state(3, dim_a=8, rank=8)
+        rec = sd.verify_resurrection(rho, 0.5)
+        screen_calls.clear()
+        dw, _ = sd.super_discord(sd.project_state(rho, rec.strong_basis), 0.5)
+        assert sum(screen_calls) <= 128
+        assert dw == rec.post_super_discord == pytest.approx(0.336055646085, abs=1e-11)
 
 
 SCREEN_STATES = [
@@ -479,7 +565,7 @@ class TestBlochScreen:
         rho4, (gg, dd) = rho.as_tensor(), lattice(64, 64)
         for x in SCREEN_STRENGTHS:
             want = discord._batched_weak_ce(rho4, measure.weak_coefficients(x), gg, dd)
-            gap = np.abs(discord._bloch_screen(rho4, x, gg, dd) - want)
+            gap = np.abs(discord._bloch_screen(bloch_table(rho4, x), gg, dd) - want)
             assert gap.max() <= 1e-12, x
 
     @pytest.mark.parametrize("seed", range(4))
@@ -736,14 +822,6 @@ class TestMinimizationCount:
         assert discord._minimize(rho, x, FAST_CFG) == first
         assert sd.super_discord(rho, x, FAST_CFG)[1] == first.basis
         assert kernel_calls == [] and minimize_calls == [x]
-
-    def test_measured_state_keeps_its_minimum(self, kernel_calls):
-        # the minimum found along the axis is the one the hemisphere scan would find, so it is kept for both
-        post = sd.project_state(sd.random_state(2), COMPUTATIONAL)
-        first = discord._minimize(post, 0.5, FAST_CFG, bloch(COMPUTATIONAL))
-        kernel_calls.clear()
-        assert discord._minimize(post, 0.5, FAST_CFG) == first
-        assert kernel_calls == []
 
     def test_failure_is_not_kept(self, minimize_calls, monkeypatch):
         rho = sd.random_state(2)

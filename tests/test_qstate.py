@@ -93,6 +93,58 @@ class TestValidate:
         with pytest.raises(BadDimension, match="dim_a must be an int >= 1"):
             sd.validate(np.eye(4) / 4, dim_a)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            pytest.param([["0.5", "0"], ["0", "0.5"]], id="digit-strings"),
+            pytest.param([[0.5, 0], [0, "0.5"]], id="one-string"),
+            pytest.param([[True, 0], [0, False]], id="bools-beside-ints"),
+            pytest.param(np.eye(2, dtype=bool), id="bool-array"),
+            pytest.param([[np.True_, 0.0], [0.0, 0.0]], id="numpy-bool"),
+            pytest.param([[b"0.5", 0], [0, 0.5]], id="bytes"),
+            pytest.param([[None, 0], [0, 1]], id="none"),
+            pytest.param("abc", id="string"),
+            pytest.param({"a": 1}, id="dict"),
+            pytest.param(np.array([[0.5, "x"], [0, 0.5]], dtype=object), id="object-array"),
+        ],
+    )
+    def test_non_numeric_entries_rejected(self, m):
+        # numpy reads digit strings and bools as numbers, and raises its own errors on the rest
+        with pytest.raises(DomainError, match="entries must be numbers"):
+            sd.validate(m, 1)
+        with pytest.raises(DomainError, match="entries must be numbers"):
+            spectrum(m)
+        with pytest.raises(DomainError, match="entries must be numbers"):
+            sd.von_neumann_entropy(m)
+
+    @pytest.mark.parametrize("m", [[[0.5, 0], [0]], [[0.5], [0, 0.5]]], ids=["short-row", "long-row"])
+    def test_ragged_entries_rejected(self, m):
+        for call in (lambda: sd.validate(m, 1), lambda: spectrum(m)):
+            with pytest.raises(BadDimension, match="rectangular"):
+                call()
+
+    def test_int_beyond_float_range_rejected(self):
+        m = [[10**400, 0], [0, 0]]
+        for call in (lambda: sd.validate(m, 1), lambda: spectrum(m), lambda: sd.von_neumann_entropy(m)):
+            with pytest.raises(NotFinite, match="beyond float range"):
+                call()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            pytest.param([[0.1, 0.2 - 0.05j], [0.2 + 0.05j, 0.9]], id="list"),
+            pytest.param([[1, 0], [0, 0]], id="int-list"),
+            pytest.param(np.array([[0.1, 0.2], [0.2, 0.9]], dtype=object), id="object-array"),
+            pytest.param(np.array([[0.25, 0.1], [0.1, 0.75]], dtype=np.float32), id="float32"),  # a float32 trace of 1
+            pytest.param(np.array([[1, 0], [0, 0]], dtype=np.uint8), id="uint8"),
+            pytest.param([[np.float64(0.1), np.int64(0)], [0, np.complex128(0.9)]], id="numpy-scalars"),
+        ],
+    )
+    def test_numeric_entries_keep_every_bit(self, m):
+        want = np.asarray(m, dtype=complex)
+        assert np.array_equal(sd.validate(m, 1).entries.view(np.uint64), (0.5 * (want + want.conj().T)).view(np.uint64))
+        assert np.array_equal(spectrum(m), spectrum(want))
+
     def test_entries_read_only_and_input_untouched(self):
         m = np.eye(4, dtype=complex) / 4  # complex already, so asarray passes m itself through
         rho = sd.validate(m, dim_a=2)
