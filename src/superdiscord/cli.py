@@ -15,7 +15,7 @@ import numpy as np
 
 from . import discord, families, measure, qstate
 from .discord import OptimizerConfig
-from .errors import BadDimension, DomainError, NoConvergence, NotFinite, QuantumStateError
+from .errors import BadDimension, DomainError, NoConvergence, QuantumStateError
 from .measure import QubitBasis
 from .qstate import DensityMatrix
 
@@ -63,20 +63,15 @@ def _basis_dict(b: QubitBasis) -> dict:
     return {"gamma": float(b.gamma), "delta": float(b.delta)}
 
 
-def _json_depth(value) -> int | None:
-    """How deep the lists in `value` nest, or None unless every leaf is a JSON number (an int or a float)."""
-    stack, depth = [(value, 0)], 0
-    while stack:
-        item, level = stack.pop()
-        if type(item) is list:
-            depth = max(depth, level + 1)
-            stack.extend((v, level + 1) for v in item)
-        elif type(item) not in (int, float):  # bool, str, None and dict are no number
-            return None
-    return depth
-
-
 def load_state_file(path: str) -> DensityMatrix:
+    """The state in a JSON file {"dim_a": N, "dim_b": 2, "re": [[...]], "im": [[...]]}, validated.
+
+    `re` and `im` are read by `qstate.complex_array`, the rule `validate`
+    applies to a matrix, so each malformed entry or nesting raises the
+    exception `validate` raises for it, its message naming the field. Both
+    must be matrices of one shape, checked before they are added, so that a
+    scalar, or a row and a column, never broadcasts into a matrix.
+    """
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -89,17 +84,7 @@ def load_state_file(path: str) -> DensityMatrix:
             raise QuantumStateError(f"state file missing key '{key}'")
     if type(data["dim_b"]) is not int or data["dim_b"] != 2:  # B is a qubit; 2.0 and true are no dimension
         raise BadDimension(f"state file 'dim_b' must be the integer 2, got {data['dim_b']!r}")
-    depths = [_json_depth(data[key]) for key in ("re", "im")]
-    if None in depths:  # numpy would convert true and "0.5"
-        raise QuantumStateError("state file 're' and 'im' entries must be JSON numbers")
-    if max(depths) > 2:  # numpy would read the nesting as rows, or fail beyond its 64 dimensions
-        raise BadDimension(f"state file 're' and 'im' must be matrices, got lists nested {max(depths)} deep")
-    try:
-        re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
-    except ValueError as exc:  # rows of unequal length
-        raise BadDimension(f"state file 're' and 'im' must be rectangular: {exc}") from exc
-    except OverflowError as exc:  # a JSON integer beyond float range
-        raise NotFinite(f"state file 're' and 'im' entries must be finite: {exc}") from exc
+    re, im = (qstate.complex_array(data[key], f"state file '{key}'") for key in ("re", "im"))
     if re.ndim != 2 or re.shape != im.shape:  # checked before adding them, which would broadcast
         raise BadDimension(f"state file 're' and 'im' must be matrices of one shape, got {re.shape} and {im.shape}")
     return qstate.validate(re + 1j * im, dim_a=data["dim_a"])

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, qstate
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, expect
 from .measure import INFINITY, QubitBasis
 from .qstate import DensityMatrix
 
@@ -114,6 +114,7 @@ BLOCK_BYTES = 1 << 20
 
 def quantum_conditional_entropy(rho: DensityMatrix) -> float:
     """S(A|B) = S(AB) - S(B); may be negative for entangled states."""
+    expect(rho, DensityMatrix, "rho")
     return qstate.von_neumann_entropy(rho.entries) - qstate.von_neumann_entropy(
         qstate.partial_trace_a(rho)
     )
@@ -121,6 +122,8 @@ def quantum_conditional_entropy(rho: DensityMatrix) -> float:
 
 def weak_conditional_entropy(rho: DensityMatrix, basis: QubitBasis, x: float) -> float:
     """p(x) S(ρ_{A|P(x)}) + p(-x) S(ρ_{A|P(-x)}) for the weak pair in `basis`; the strong one at x = INFINITY."""
+    expect(rho, DensityMatrix, "rho")
+    expect(basis, QubitBasis, "basis")
     coef = measure.weak_coefficients(x)
     gammas, deltas = np.array([basis.gamma]), np.array([basis.delta])
     return float(_batched_weak_ce(rho.as_tensor(), coef, gammas, deltas)[0])
@@ -449,8 +452,7 @@ class MinimizationResult:
     grid_spread: float
 
 
-# axis is ignored: the scan reads its walk off the state, and older digest scripts still pass it
-def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> MinimizationResult:
+def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig) -> MinimizationResult:
     """The basis minimizing S_w(rho|.) at x: `_minima` at one strength, kept on rho as it keeps every minimum."""
     return _minima(rho, [x], cfg)[0]
 
@@ -458,25 +460,26 @@ def _minimize(rho: DensityMatrix, x: float, cfg: OptimizerConfig, axis=None) -> 
 def _minima(rho: DensityMatrix, xs, cfg: OptimizerConfig) -> list[MinimizationResult]:
     """The basis minimizing S_w(rho|.) at each strength of xs, found once per state object and kept on it.
 
-    Every strength is checked (`measure.weak_coefficients`) before any lookup
-    or scan; then the minima kept for (x, cfg) are looked up. The lattices of
-    the others are scanned one after the other, and every lattice that is not
-    flat starts a refinement from its best point: one `_nm_minimize` call runs
-    them all, none when every lattice is flat. Its objective reads each
-    point's coefficients from one (4, runs) table and puts the point on a
-    batch axis, so each point gets the value it would get alone and each
-    refinement takes the steps it takes alone: a minimum has the same bits
-    whatever strengths share the call. A refinement is one `_nm_steps` run,
-    and, when that ends neither in success nor flat, a second from its best
-    point, inside the same run of the lockstep; it fails only if the second
-    fails too. The kernel calls are as many as the longest refinement's,
-    restart included, not the sum over them. Every minimum found is kept;
-    then the first NoConvergence, in the order of xs, is raised.
+    rho (`expect`) and every strength (`measure.weak_coefficients`) are
+    checked before any lookup or scan; then the minima kept for (x, cfg) are
+    looked up. The lattices of the others are scanned one after the other, and
+    every lattice that is not flat starts a refinement from its best point:
+    one `_nm_minimize` call runs them all, none when every lattice is flat.
+    Its objective reads each point's coefficients from one (4, runs) table and
+    puts the point on a batch axis, so each point gets the value it would get
+    alone and each refinement takes the steps it takes alone: a minimum has
+    the same bits whatever strengths share the call. A refinement is one
+    `_nm_steps` run, and, when that ends neither in success nor flat, a second
+    from its best point, inside the same run of the lockstep; it fails only if
+    the second fails too. The kernel calls are as many as the longest
+    refinement's, restart included, not the sum over them. Every minimum found
+    is kept; then the first NoConvergence, in the order of xs, is raised.
 
     Each scan chooses its own walk from rho's R (`_lattice_values`): flat,
     axial or hemisphere. Every walk keeps the scan contract, so a minimum
     does not depend on which one ran.
     """
+    expect(rho, DensityMatrix, "rho")
     coef_of = {x: measure.weak_coefficients(x) for x in xs}  # a bad strength raises before any lookup or scan
     missing = [x for x in coef_of if (x, cfg) not in rho._minima]
     if not missing:

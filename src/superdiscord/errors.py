@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `expect`, the type check that raises one."""
 
 
 class QuantumStateError(ValueError):
@@ -46,3 +46,10 @@ class NoConvergence(RuntimeError):
     def __init__(self, message: str, best_value: float | None = None):
         super().__init__(message)
         self.best_value = best_value
+
+
+def expect(value, cls: type, name: str):
+    """value, if it is a cls, or DomainError: a raw matrix or a tuple basis fails here, not on a missing attribute."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value

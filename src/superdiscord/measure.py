@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .errors import DomainError, NegativeStrength
+from .errors import DomainError, NegativeStrength, expect
 from .qstate import DensityMatrix
 
 INFINITY = math.inf
@@ -60,6 +60,7 @@ def basis_from_ket(v) -> QubitBasis:
 
 def projectors(basis: QubitBasis) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 projectors onto |phi> and |phibar>."""
+    expect(basis, QubitBasis, "basis")
     k, kb = basis.ket(), basis.ket_bar()
     return np.outer(k, k.conj()), np.outer(kb, kb.conj())
 
@@ -133,6 +134,7 @@ def weak_operators(coef, gammas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 def weak_pair(basis: QubitBasis, x: float) -> np.ndarray:
     """P(x), P(-x) for one basis as a (2, 2, 2) stack from `weak_operators`: ``plus, minus = weak_pair(b, x)``."""
+    expect(basis, QubitBasis, "basis")
     return weak_operators(weak_coefficients(x), np.array([basis.gamma]), np.array([basis.delta]))[:, 0]
 
 
@@ -174,6 +176,7 @@ def weak_outcomes(
     rho: DensityMatrix, pair: np.ndarray
 ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
     """Conditional states and probabilities for the outcomes of a `weak_pair` stack P(x), P(-x), in that order."""
+    expect(rho, DensityMatrix, "rho")
     plus, minus = conditional_blocks(rho.as_tensor(), pair[:, None])
     return _outcome(plus[0]), _outcome(minus[0])
 
@@ -187,6 +190,7 @@ def projective_outcomes(
 
 def project_state(rho: DensityMatrix, basis: QubitBasis) -> DensityMatrix:
     """Fully decohered state after a projective measurement of B in `basis`."""
+    expect(rho, DensityMatrix, "rho")
     eye_a = np.eye(rho.dim_a)
     acc = np.zeros_like(rho.entries)
     for pi in projectors(basis):

@@ -1,7 +1,9 @@
 """Density-matrix algebra for bipartite states with a qubit on side B.
 
 Conventions: subsystem ordering is A ⊗ B, row-major with B varying fastest;
-all entropies are in bits (log base 2).
+all entropies are in bits (log base 2). Every matrix the package reads, given
+to `validate` or `spectrum` or read from a CLI state file, passes one entry
+rule, `complex_array`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimension, DomainError, NotFinite, NotHermitian, NotPositive, TraceNotOne
+from .errors import BadDimension, DomainError, NotFinite, NotHermitian, NotPositive, TraceNotOne, expect
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -35,27 +37,35 @@ class DensityMatrix:
         return self.entries.reshape(self.dim_a, 2, self.dim_a, 2)
 
 
-def _complex_array(m) -> np.ndarray:
+def complex_array(m, name: str = "matrix") -> np.ndarray:
     """m as a complex array, converted entry for entry as numpy converts it, once its entries are known to be numbers.
 
-    numpy reads a digit string or a bool as a number, and raises its own
-    errors on the rest; here a bool, str or bytes entry, or any entry that is
-    not a number, raises DomainError, a ragged nesting BadDimension, and an int
-    beyond float range NotFinite. A numeric array passes unchecked.
+    The one rule for matrix entries: `validate`, `spectrum` and the CLI's
+    state-file reader all read a matrix through it, the reader with its
+    field as `name`. numpy reads a digit string or a bool as a number, and
+    raises its own errors on the rest; here a bool, str or bytes entry, or any
+    entry that is not a number, raises DomainError, a ragged nesting or one
+    deeper than numpy's 64 dimensions BadDimension, and an int beyond float
+    range, a NaN or an infinity NotFinite. A numeric array's entries are
+    not looked at one by one. Every message begins with `name`.
     """
     try:
         a = np.asarray(m)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise BadDimension("entries do not nest as a rectangular array") from None
+    except ValueError:  # numpy's "inhomogeneous shape", or more than its 64 dimensions
+        deep = np.asarray(m, dtype=object).ndim == 64  # an object array stops at 64 dimensions
+        raise BadDimension(f"{name} {'nests over 64 levels deep' if deep else 'is not a rectangular array'}") from None
     if not (isinstance(m, np.ndarray) and a.dtype.kind in "iufc"):
         # a sequence's bool beside ints reads as an int, so each entry is looked at as it was given
         for v in np.asarray(m, dtype=object).flat:
             if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Number):
-                raise DomainError(f"entries must be numbers, got {type(v).__name__}")
+                raise DomainError(f"{name} entries must be numbers, got {type(v).__name__}")
     try:
-        return np.asarray(m, dtype=complex)
+        a = np.asarray(m, dtype=complex)
     except OverflowError:  # no repr: a str of over 4300 digits raises ValueError
-        raise NotFinite("an int entry lies beyond float range") from None
+        raise NotFinite(f"{name} has an int entry beyond float range") from None
+    if not np.isfinite(a).all():
+        raise NotFinite(f"{name} has NaN or infinite entries")
+    return a
 
 
 def validate(m, dim_a: int) -> DensityMatrix:
@@ -65,14 +75,11 @@ def validate(m, dim_a: int) -> DensityMatrix:
     tolerance), so tiny floating-point asymmetry is repaired, large asymmetry
     rejected. Finite entries near float's limit can overflow the Hermitian
     part or the trace; the checks read the overflow, never a numpy warning,
-    and a NaN fails each of them. Entries that are not numbers fail as in
-    `_complex_array`.
+    and a NaN fails each of them. The entries pass `complex_array` first.
     """
     if type(dim_a) is not int or dim_a < 1:  # a float or bool would reach numpy and the state
         raise BadDimension(f"dim_a must be an int >= 1, got {dim_a!r}")
-    m = _complex_array(m)
-    if not np.isfinite(m).all():
-        raise NotFinite("matrix has NaN or infinite entries")
+    m = complex_array(m)
     d = 2 * dim_a
     if m.shape != (d, d):
         raise BadDimension(f"expected a {d}x{d} matrix, got shape {m.shape}")
@@ -95,26 +102,24 @@ def validate(m, dim_a: int) -> DensityMatrix:
 
 def partial_trace_b(rho: DensityMatrix) -> np.ndarray:
     """Reduce to subsystem A."""
-    return np.einsum("ibjb->ij", rho.as_tensor())
+    return np.einsum("ibjb->ij", expect(rho, DensityMatrix, "rho").as_tensor())
 
 
 def partial_trace_a(rho: DensityMatrix) -> np.ndarray:
     """Reduce to subsystem B."""
-    return np.einsum("ibic->bc", rho.as_tensor())
+    return np.einsum("ibic->bc", expect(rho, DensityMatrix, "rho").as_tensor())
 
 
 def spectrum(m) -> np.ndarray:
     """Eigenvalues of a (sub-)normalized density matrix, descending, clipped to [0, 1].
 
     Violations beyond EIG_TOL on either side are errors, not clips, and so
-    are non-finite entries, an input that is not a non-empty square matrix
-    and entries that are not numbers (`_complex_array`).
+    is an input that is not a non-empty square matrix; the entries pass
+    `complex_array` first.
     """
-    m = _complex_array(m)
+    m = complex_array(m)
     if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
         raise BadDimension(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NotFinite("matrix has NaN or infinite entries")
     w = np.linalg.eigvalsh(m)
     lo = float(w.min())
     if lo < -EIG_TOL:

@@ -11,7 +11,7 @@ import pytest
 import superdiscord as sd
 from superdiscord import cli
 from superdiscord.discord import OptimizerConfig
-from superdiscord.errors import NoConvergence
+from superdiscord.errors import BadDimension, DomainError, NoConvergence, NotFinite, QuantumStateError
 from superdiscord.measure import INFINITY
 
 from oracles import binary_entropy, oracle_werner
@@ -264,6 +264,28 @@ class TestClassicallyCorrelatedState:
         assert [row["gap"] for row in rows] == [0.0, 0.0]
 
 
+def nested(depth):
+    """A list nested depth levels deep around one 0.5."""
+    m = 0.5
+    for _ in range(depth):
+        m = [m]
+    return m
+
+
+# matrices that `validate` rejects, and the error it raises: read from a state file they raise the same
+MALFORMED_MATRICES = [
+    pytest.param([[True, 0], [0, False]], DomainError, id="bool"),
+    pytest.param([["0.5", 0], [0, "0.5"]], DomainError, id="str"),
+    pytest.param([[None, 0], [0, 0.5]], DomainError, id="none"),
+    pytest.param([[{"re": 0.5}, 0], [0, 0.5]], DomainError, id="dict"),
+    pytest.param([[0.5, 0], [0]], BadDimension, id="ragged"),
+    pytest.param(nested(3), BadDimension, id="nested-3"),
+    pytest.param(nested(65), BadDimension, id="nested-65"),
+    pytest.param([[10**400, 0], [0, 0]], NotFinite, id="int-beyond-float"),
+    pytest.param([[math.nan, 0], [0, 0.5]], NotFinite, id="nan"),  # json writes the NaN literal
+]
+
+
 class TestErrorPaths:
     def test_unknown_family(self, capsys):
         assert run(capsys, "report", "--state", "nosuch")[0] == 2
@@ -405,9 +427,11 @@ class TestErrorPaths:
         [
             # json's decoder raises RecursionError from about 1000 levels on
             (100_000, "error: state file nests too deeply to parse\n"),
-            # numpy would read 3 to 64 levels as a stack of matrices and fail beyond 64 dimensions
-            *[(depth, f"error: state file 're' and 'im' must be matrices, got lists nested {depth} deep\n")
-              for depth in (500, 3, 65)],
+            # numpy fails beyond 64 dimensions, which is no ragged nesting
+            (500, "error: state file 're' nests over 64 levels deep\n"),
+            # numpy reads 3 to 64 levels as an array, which the shape check rejects
+            (3, "error: state file 're' and 'im' must be matrices of one shape, got (1, 1, 0) and (0,)\n"),
+            (65, "error: state file 're' nests over 64 levels deep\n"),
         ],
         ids=["beyond-the-decoder", "beyond-numpy", "deeper-than-a-matrix", "beyond-numpy-dimensions"],
     )
@@ -439,10 +463,10 @@ class TestErrorPaths:
         "re, message",
         [
             # numpy would read both as a valid state, true as 1.0 and "0.5" as 0.5
-            ([[True, False], [False, False]], "state file 're' and 'im' entries must be JSON numbers"),
-            ([["0.5", 0], [0, "0.5"]], "state file 're' and 'im' entries must be JSON numbers"),
+            ([[True, False], [False, False]], "state file 're' entries must be numbers, got bool"),
+            ([["0.5", 0], [0, "0.5"]], "state file 're' entries must be numbers, got str"),
             # numpy raises OverflowError, not ValueError, on an integer beyond float range
-            ([[10**400, 0], [0, 0]], "state file 're' and 'im' entries must be finite: int too large to convert to float"),
+            ([[10**400, 0], [0, 0]], "state file 're' has an int entry beyond float range"),
         ],
         ids=["bool-entries", "string-entries", "huge-int-entry"],
     )
@@ -453,6 +477,19 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert (rc, captured.out) == (2, "")
         assert captured.err == f"error: {message}\n"
+        assert minimize_calls == []
+
+    @pytest.mark.parametrize("m, error", MALFORMED_MATRICES)
+    def test_state_file_entries_follow_validate(self, capsys, tmp_path, minimize_calls, m, error):
+        # one rule for a matrix given to validate and one read from a file's 're'
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim_a": 1, "dim_b": 2, "re": m, "im": [[0, 0], [0, 0]]}))
+        with pytest.raises(QuantumStateError) as by_validate:
+            sd.validate(m, 1)
+        with pytest.raises(QuantumStateError) as by_file:
+            cli.load_state_file(str(path))
+        assert type(by_validate.value) is type(by_file.value) is error
+        assert run(capsys, "report", "--state", f"file:{path}") == (2, "")
         assert minimize_calls == []
 
     @pytest.mark.parametrize(

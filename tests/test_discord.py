@@ -68,7 +68,43 @@ class TestConditionalEntropies:
             assert abs(s_n - s_anti) <= 1e-12, (g, d)
 
 
-CLASSICAL = np.diag([0.2, 0.0, 0.0, 0.8])  # 0.2 |00><00| + 0.8 |11><11|, D_s = 0
+# a state as its raw matrix, and a basis as its (gamma, delta) tuple
+RAW_STATE, TUPLE_BASIS = np.eye(4) / 4, (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: sd.super_discord(RAW_STATE, 0.5), "DensityMatrix", id="super_discord"),
+        pytest.param(lambda: sd.analyze(RAW_STATE, 0.5), "DensityMatrix", id="analyze"),
+        pytest.param(lambda: sd.verify_resurrection(RAW_STATE, 0.5), "DensityMatrix", id="verify_resurrection"),
+        pytest.param(lambda: sd.minimize_conditional_entropy(RAW_STATE, 0.5), "DensityMatrix", id="minimize"),
+        pytest.param(lambda: sd.weak_conditional_entropy(RAW_STATE, COMPUTATIONAL, 0.5), "DensityMatrix",
+                     id="weak_ce-state"),
+        pytest.param(lambda: sd.weak_conditional_entropy(sd.werner(0.5), TUPLE_BASIS, 0.5), "QubitBasis",
+                     id="weak_ce-basis"),
+        pytest.param(lambda: sd.quantum_conditional_entropy(RAW_STATE), "DensityMatrix", id="quantum_ce"),
+        pytest.param(lambda: sd.mutual_information(RAW_STATE), "DensityMatrix", id="mutual_information"),
+        pytest.param(lambda: sd.partial_trace_a(RAW_STATE), "DensityMatrix", id="partial_trace_a"),
+        pytest.param(lambda: sd.partial_trace_b(RAW_STATE), "DensityMatrix", id="partial_trace_b"),
+        pytest.param(lambda: sd.project_state(RAW_STATE, COMPUTATIONAL), "DensityMatrix", id="project_state-state"),
+        pytest.param(lambda: sd.project_state(sd.werner(0.5), TUPLE_BASIS), "QubitBasis", id="project_state-basis"),
+        pytest.param(lambda: sd.weak_outcomes(RAW_STATE, sd.weak_pair(COMPUTATIONAL, 0.5)), "DensityMatrix",
+                     id="weak_outcomes"),
+        pytest.param(lambda: sd.projective_outcomes(RAW_STATE, COMPUTATIONAL), "DensityMatrix",
+                     id="projective_outcomes"),
+        pytest.param(lambda: sd.weak_pair(TUPLE_BASIS, 0.5), "QubitBasis", id="weak_pair"),
+        pytest.param(lambda: sd.projectors(TUPLE_BASIS), "QubitBasis", id="projectors"),
+    ],
+)
+def test_wrong_argument_type_raises_domain_error(call, expected, minimize_calls):
+    # not an AttributeError from inside the computation, and before any minimization
+    with pytest.raises(DomainError, match=f"must be a {expected}, got (ndarray|tuple)$"):
+        call()
+    assert minimize_calls == []
+
+
+CLASSICAL =np.diag([0.2, 0.0, 0.0, 0.8])  # 0.2 |00><00| + 0.8 |11><11|, D_s = 0
 
 
 def classical_weak_ce(x):
